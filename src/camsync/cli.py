@@ -165,7 +165,7 @@ def _cmd_sync(args) -> int:
             ]
             accepted = [r for r in run.iterations if r.accepted]
             inliers = accepted[-1].inlier_count if accepted else 0
-            total = _count_total(traj1, traj2, rp, kind)
+            total = run.total_correspondences
     except CamsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.__class__.__name__ in ("TrajectoryFormatError", "NotEnoughCorrespondences"):
@@ -191,13 +191,6 @@ def _cmd_sync(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _count_total(traj1, traj2, rp, kind) -> int:
-    from .robust import build_correspondences
-
-    corr, _ = build_correspondences(traj1, traj2, 0.0, rp.rho, rp.d)
-    return len(corr)
 
 
 def _cmd_synth(args) -> int:
@@ -391,10 +384,7 @@ def _final_inlier_fraction(traj1, traj2, rp, kind, run: SyncRun) -> float:
     corr, _ = build_correspondences(traj1, traj2, float(last.j_after), rp.rho, 1)
     if not len(corr):
         return 0.0
-    resid = run.beta_total - round(run.beta_total)
-    cand = SolverCandidate(
-        beta=float(last.j_after) + resid, model=run.model, algebraic_residual=0.0
-    )
+    cand = SolverCandidate(beta=run.beta_total, model=run.model, algebraic_residual=0.0)
     mask, _ = score_candidate(kind, cand, corr, rp.threshold)
     return float(mask.sum() / len(corr))
 

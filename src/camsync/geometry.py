@@ -18,6 +18,7 @@ from .errors import MissingFrame, SingularModel, ZeroVector
 
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
+MAX_FRAME = 2**63 - 1  # frames are stored as int64
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class ImageSample:
     v: float
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame must be non-negative, got {self.frame}")
+        if not 0 <= self.frame <= MAX_FRAME:
+            raise ValueError(f"frame must be in [0, 2**63 - 1], got {self.frame}")
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError("sample coordinates must be finite")
 
@@ -43,41 +44,69 @@ class ImageSample:
 
 @dataclass
 class Trajectory:
-    """Track of one moving point in one camera, frames strictly increasing."""
+    """Track of one moving point in one camera, frames strictly increasing.
+
+    ``frames`` (n,) and ``points`` (n, 2) hold the samples as arrays. Frame
+    lookups are binary searches over ``frames``, so memory stays proportional
+    to the sample count however far apart the frames lie.
+    """
 
     camera_id: str
     track_id: str
     samples: tuple[ImageSample, ...]
-    _by_frame: dict[int, ImageSample] = field(init=False, repr=False)
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.samples = tuple(self.samples)
-        frames = [s.frame for s in self.samples]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
+        self.frames = np.array([s.frame for s in self.samples], dtype=np.int64)
+        if np.any(np.diff(self.frames) <= 0):
             raise ValueError(
                 f"trajectory {self.camera_id}/{self.track_id}: "
                 "frames must be strictly increasing"
             )
-        self._by_frame = {s.frame: s for s in self.samples}
+        self.points = np.empty((len(self.samples), 2))
+        self.points[:, 0] = [s.u for s in self.samples]
+        self.points[:, 1] = [s.v for s in self.samples]
 
     def __len__(self) -> int:
         return len(self.samples)
 
+    def runs(self, first: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Locate the frame runs ``first .. first + length`` (length >= 0).
+
+        Returns the sample index of each ``first`` and a mask, True where every
+        frame of the run is present. Indices under a False mask are arbitrary.
+        """
+        n = len(self.frames)
+        idx = np.searchsorted(self.frames, first)
+        if n == 0:
+            return idx, np.zeros(idx.shape, dtype=bool)
+        # strictly increasing integers with frames[idx] >= first: reaching
+        # first + length in exactly `length` steps leaves no room for a hole
+        last = idx + length
+        ok = (last < n) & (self.frames[np.minimum(last, n - 1)] == first + length)
+        return idx, ok
+
+    def _run(self, first: int, length: int) -> int | None:
+        idx, ok = self.runs(np.array([first], dtype=np.int64), length)
+        return int(idx[0]) if ok[0] else None
+
     def has_frame(self, frame: int) -> bool:
-        return frame in self._by_frame
+        return self._run(frame, 0) is not None
 
     def sample_at(self, frame: int) -> ImageSample:
-        try:
-            return self._by_frame[frame]
-        except KeyError:
+        i = self._run(frame, 0)
+        if i is None:
             raise MissingFrame(
                 f"frame {frame} not in trajectory {self.camera_id}/{self.track_id}"
-            ) from None
+            )
+        return self.samples[i]
 
     def contiguous(self, frame_a: int, frame_b: int) -> bool:
         """True when every integer frame between a and b (inclusive) is present."""
         lo, hi = min(frame_a, frame_b), max(frame_a, frame_b)
-        return all(f in self._by_frame for f in range(lo, hi + 1))
+        return self._run(lo, hi - lo) is not None
 
     @property
     def first_frame(self) -> int:
@@ -120,7 +149,6 @@ class LinearizedCorrespondence:
     v_vec: np.ndarray  # tangent, pixels per camera-2 frame (2,)
     j0: int  # camera-2 anchor frame
     d: int  # signed secant span in camera-2 frames
-    s: ImageSample | None = None  # paired camera-1 sample, attached by callers
 
     def predict(self, beta: float) -> np.ndarray:
         return self.u_vec + beta * self.v_vec

@@ -28,13 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInput, NoRealSolution
-from .geometry import (
-    FUNDAMENTAL,
-    HOMOGRAPHY,
-    ImageSample,
-    LinearizedCorrespondence,
-    TwoViewModel,
-)
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
@@ -74,15 +68,6 @@ class CorrSet:
     def __len__(self) -> int:
         return self.s1.shape[0]
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: list[tuple[ImageSample, LinearizedCorrespondence]]
-    ) -> "CorrSet":
-        s1 = np.array([s.homogeneous() for s, _ in pairs])
-        u = np.array([lin.u_homogeneous() for _, lin in pairs])
-        v = np.array([lin.v_homogeneous() for _, lin in pairs])
-        return cls(s1=s1, u=u, v=v)
-
     def take(self, idx) -> "CorrSet":
         return CorrSet(self.s1[idx], self.u[idx], self.v[idx])
 
@@ -114,6 +99,23 @@ def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise kron: row r is the coefficient vector of a_r^T X b_r in vec(X)."""
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], 9)
+
+
+def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """First two rows of [a]_x H s = 0 per sample, interleaved, in vec(H).
+
+    s, a: (n, 3) with a[:, 2] the homogeneous coordinate. Row 2r is
+    [0, -s_r, a_r[1] s_r] and row 2r+1 is [s_r, 0, -a_r[0] s_r]; their last
+    three columns are the coefficients of the third row of H, the only one
+    that a[:, :2] multiplies.
+    """
+    n = s.shape[0]
+    rows = np.zeros((n, 2, 9))
+    rows[:, 0, 3:6] = -s
+    rows[:, 0, 6:] = a[:, 1:2] * s
+    rows[:, 1, :3] = s
+    rows[:, 1, 6:] = -a[:, 0:1] * s
+    return rows.reshape(2 * n, 9)
 
 
 def _split_real(values, vectors=None):
@@ -293,19 +295,6 @@ def solve_min_f_beta(
 # minimal homography solver, 5 correspondences
 
 
-def _h_rows(s: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Two independent rows of [u + beta v]_x H s = 0 in the 12-monomial basis.
-
-    Monomials: [h11..h33, beta*h31, beta*h32, beta*h33]. The third component
-    of u + beta v is 1, so beta only multiplies the third row of H in the
-    first two equations of the cross product.
-    """
-    z = np.zeros(3)
-    row1 = np.concatenate([z, -s, u[1] * s, v[1] * s])
-    row2 = np.concatenate([s, z, -u[0] * s, -v[0] * s])
-    return np.vstack([row1, row2])
-
-
 def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]:
     """Homography + time shift from 5 correspondences (4.5-sample problem).
 
@@ -320,11 +309,12 @@ def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]
     if fifth_row not in (0, 1):
         raise ValueError("fifth_row must be 0 or 1")
     ncorr, t1, t2 = _normalize_corr(corr)
-    rows = []
-    for i in range(4):
-        rows.append(_h_rows(ncorr.s1[i], ncorr.u[i], ncorr.v[i]))
-    rows.append(_h_rows(ncorr.s1[4], ncorr.u[4], ncorr.v[4])[fifth_row : fifth_row + 1])
-    m = np.vstack(rows)  # 9 x 12
+    # 12-monomial basis [h11..h33, beta*h31, beta*h32, beta*h33]: the third
+    # component of u + beta v is 1, so beta only multiplies the third row of H
+    rows = np.hstack(
+        [_skew_rows(ncorr.s1, ncorr.u), _skew_rows(ncorr.s1, ncorr.v)[:, 6:]]
+    )
+    m = rows[[0, 1, 2, 3, 4, 5, 6, 7, 8 + fifth_row]]  # 9 x 12
     _, sing, vt = np.linalg.svd(m)
     if sing[8] < 1e-10 * sing[0]:
         raise DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")
@@ -427,13 +417,6 @@ def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
     if _collinear_triple(corr.s1[:, :2]) or _collinear_triple(corr.u[:, :2]):
         raise DegenerateInput("three collinear points in a 4-point homography sample")
     ncorr, t1, t2 = _normalize_corr(corr)
-    rows = []
-    z = np.zeros(3)
-    for i in range(4):
-        s, u = ncorr.s1[i], ncorr.u[i]
-        rows.append(np.concatenate([z, -s, u[1] * s]))
-        rows.append(np.concatenate([s, z, -u[0] * s]))
-    m = np.vstack(rows)
-    _, _, vt = np.linalg.svd(m)
+    _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
     hmat = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
     return TwoViewModel.normalized(HOMOGRAPHY, hmat)

@@ -64,6 +64,7 @@ class SyncRun:
     iterations: list[IterationRecord]
     ransac_calls: int
     accepted_steps: int
+    total_correspondences: int  # rows the last accepted RANSAC call scored against
 
 
 def _round_half_away(x: float) -> int:
@@ -93,6 +94,7 @@ def iterative_sync(
     skipped = 0
     k = 1
     last_inliers = 0
+    last_total = 0
     last_beta_rel: float | None = None
     last_model = None
     log: list[IterationRecord] = []
@@ -131,6 +133,7 @@ def iterative_sync(
         if improved:
             offset += step
             last_inliers = res.inlier_count
+            last_total = res.total_correspondences
             last_beta_rel = beta_rel
             last_model = best.model
             skipped = 0
@@ -175,4 +178,5 @@ def iterative_sync(
         iterations=log,
         ransac_calls=calls,
         accepted_steps=accepted_steps,
+        total_correspondences=last_total,
     )

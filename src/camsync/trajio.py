@@ -31,7 +31,7 @@ def write_trajectories(path, trajectories: list[Trajectory]) -> None:
 
 def read_trajectories(path) -> dict[str, list[Trajectory]]:
     """Parse a trajectory CSV into {camera_id: [Trajectory, ...]}."""
-    rows: dict[tuple[str, str], list[tuple[int, float, float]]] = defaultdict(list)
+    rows: dict[tuple[str, str], list[ImageSample]] = defaultdict(list)
     seen: set[tuple[str, str, int]] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -50,22 +50,20 @@ def read_trajectories(path) -> dict[str, list[Trajectory]]:
                 raise TrajectoryFormatError(f"{path}:{lineno}: expected 5 fields")
             cam, track, frame_s, u_s, v_s = (c.strip() for c in row)
             try:
-                frame = int(frame_s)
-                u = float(u_s)
-                v = float(v_s)
+                # ImageSample rejects negative frames and non-finite coordinates
+                sample = ImageSample(frame=int(frame_s), u=float(u_s), v=float(v_s))
             except ValueError as exc:
                 raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-            key = (cam, track, frame)
+            key = (cam, track, sample.frame)
             if key in seen:
                 raise TrajectoryFormatError(
                     f"{path}:{lineno}: duplicate (camera_id, track_id, frame) {key}"
                 )
             seen.add(key)
-            rows[(cam, track)].append((frame, u, v))
+            rows[(cam, track)].append(sample)
     out: dict[str, list[Trajectory]] = defaultdict(list)
-    for (cam, track), pts in rows.items():
-        pts.sort()
-        samples = tuple(ImageSample(frame=f, u=u, v=v) for f, u, v in pts)
+    for (cam, track), samples in rows.items():
+        samples.sort(key=lambda s: s.frame)
         out[cam].append(Trajectory(camera_id=cam, track_id=track, samples=samples))
     for cam in out:
         out[cam].sort(key=lambda t: t.track_id)

@@ -12,8 +12,17 @@ from camsync import (
     TrajectoryFormatError,
     generate_scene,
 )
-from camsync.cli import EXIT_ALGORITHM, EXIT_INPUT, EXIT_OK, main, run_sweep
+from camsync.cli import (
+    EXIT_ALGORITHM,
+    EXIT_INPUT,
+    EXIT_OK,
+    _final_inlier_fraction,
+    main,
+    run_sweep,
+)
 from camsync.geometry import FUNDAMENTAL, TwoViewModel
+from camsync.robust import KIND_F_GEP, RansacParams, build_correspondences
+from camsync.sync import IterationRecord, SyncRun
 from camsync.trajio import (
     SyncReport,
     read_trajectories,
@@ -221,6 +230,46 @@ class TestCliSync:
         assert abs(report.beta - 6.0) < 1.0
         assert len(report.log) >= 1
 
+    def test_iterative_total_counts_the_accepted_call(self, tmp_path, capsys):
+        spec = SceneSpec(
+            seed=0, beta_gt=50.0, noise_sigma=0.5, n_tracks=10, n_frames=240,
+            waypoint_spacing=300.0, speed_px_per_frame=4.0,
+        )
+        t1, t2, _ = generate_scene(spec)
+        # without camera-2 frames below 60, offset 0 pairs fewer rows than
+        # the offsets the loop accepts near beta = 50
+        t2 = [
+            Trajectory(t.camera_id, t.track_id,
+                       tuple(s for s in t.samples if s.frame >= 60))
+            for t in t2
+        ]
+        path = tmp_path / "scene.csv"
+        write_trajectories(path, t1 + t2)
+        rc = main([
+            "sync", str(path), "--threshold", "5", "--max-iterations", "100",
+            "--seed", "0",
+        ])
+        assert rc == EXIT_OK
+        report = SyncReport.from_json(capsys.readouterr().out)
+        accepted = [e for e in report.log if e["accepted"]]
+        offset = accepted[-2]["j_after"] if len(accepted) > 1 else 0
+        corr, _ = build_correspondences(t1, t2, float(offset), 1.0, accepted[-1]["d"])
+        assert report.inliers == accepted[-1]["inlier_count"]
+        assert report.inliers <= report.total == len(corr)
+
+    @pytest.mark.parametrize(
+        "row", ["cam1,t0,1,nan,1.0", "cam1,t0,1,1.0,inf", "cam1,t0,-1,1.0,1.0"]
+    )
+    def test_bad_sample_value_is_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "camera_id,track_id,frame,u,v\ncam1,t0,0,1.0,1.0\n" + row + "\n"
+            "cam2,t0,0,1.0,1.0\n"
+        )
+        rc = main(["sync", str(path)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         rc = main(["sync", str(tmp_path / "nope.csv")])
         assert rc == EXIT_INPUT
@@ -298,3 +347,18 @@ class TestCliSweep:
         rows = run_sweep(self._config(betas=[0.0], algorithms=["f-7pt"]))
         assert rows[0]["beta_est"] == ""
         assert rows[0]["status"] == "ok"
+
+
+def test_sweep_scores_the_reported_half_frame_beta():
+    spec = SceneSpec(seed=0, beta_gt=2.5, noise_sigma=0.0, motion="exact-linear",
+                     n_tracks=4, n_frames=60)
+    t1, t2, gt = generate_scene(spec)
+    # estimate 0.5 at offset 2 steps to offset 3; beta_total = 3 - 1 + 0.5
+    record = IterationRecord(
+        k=1, d=1, direction=1, inlier_count=1, beta_k=0.5, accepted=True,
+        j_after=3, skipped_after=0,
+    )
+    run = SyncRun(beta_total=2.5, model=gt.f, iterations=[record], ransac_calls=2,
+                  accepted_steps=1, total_correspondences=1)
+    rp = RansacParams(threshold=1.0)
+    assert _final_inlier_fraction(t1, t2, rp, KIND_F_GEP, run) == 1.0

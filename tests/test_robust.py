@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsync import (
+    ImageSample,
+    MissingFrame,
     NotEnoughCorrespondences,
     RansacParams,
     SceneSpec,
+    Trajectory,
     generate_scene,
     inject_outliers,
+    linearize,
     model_distance,
     ransac_estimate,
 )
@@ -23,7 +29,7 @@ from camsync.robust import (
     score_candidate,
     with_seed,
 )
-from camsync.solvers import SolverCandidate
+from camsync.solvers import SolverCandidate, _skew_rows
 
 
 def exact_scene(seed=0, beta_gt=2.0, n_tracks=4, exact_model="F"):
@@ -51,7 +57,78 @@ def noisy_scene(seed=0, beta_gt=3.0):
     return generate_scene(spec)
 
 
+def reference_build(traj1, traj2, beta0, rho, d):
+    """Rows and keys of one scalar ``linearize`` call per camera-1 sample."""
+    by_id2 = {t.track_id: t for t in traj2}
+    s1, u, v, keys = [], [], [], []
+    for t1 in traj1:
+        t2 = by_id2.get(t1.track_id)
+        if t2 is None:
+            continue
+        for s in t1.samples:
+            try:
+                lin = linearize(t2, s.frame, beta0, rho, d)
+            except MissingFrame:
+                continue
+            s1.append(s.homogeneous())
+            u.append(lin.u_homogeneous())
+            v.append(lin.v_homogeneous())
+            keys.append((t1.track_id, s.frame))
+    if not keys:
+        return [np.zeros((0, 3))] * 3, keys
+    return [np.array(s1), np.array(u), np.array(v)], keys
+
+
+COORD = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@st.composite
+def holey_track(draw, camera_id, track_id):
+    """Frames start .. start+length-1 less up to three holes; possibly empty."""
+    start = draw(st.integers(0, 10))
+    length = draw(st.integers(0, 60))
+    holes = draw(st.sets(st.integers(start, start + length), max_size=3))
+    frames = [f for f in range(start, start + length) if f not in holes]
+    points = draw(st.lists(st.tuples(COORD, COORD), min_size=len(frames),
+                           max_size=len(frames)))
+    samples = tuple(ImageSample(f, u, v) for f, (u, v) in zip(frames, points))
+    return Trajectory(camera_id=camera_id, track_id=track_id, samples=samples)
+
+
+@st.composite
+def camera(draw, camera_id):
+    ids = draw(st.lists(st.sampled_from(["t0", "t1", "t2"]), unique=True, min_size=1,
+                        max_size=3))
+    return [draw(holey_track(camera_id, tid)) for tid in ids]
+
+
 class TestBuildCorrespondences:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        traj1=camera("c1"),
+        traj2=camera("c2"),
+        beta0=st.one_of(
+            st.sampled_from([-7.5, -2.0, -0.5, 0.0, 0.5, 3.5, 12.0]),
+            st.floats(-20.0, 20.0, allow_nan=False),
+        ),
+        rho=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+        sign=st.sampled_from([1, -1]),
+        p=st.integers(0, 4),
+    )
+    def test_bit_identical_to_scalar_linearize(self, traj1, traj2, beta0, rho, sign, p):
+        d = sign * 2**p
+        corr, keys = build_correspondences(traj1, traj2, beta0, rho, d)
+        (s1, u, v), ref_keys = reference_build(traj1, traj2, beta0, rho, d)
+        assert keys == ref_keys
+        for got, want in ((corr.s1, s1), (corr.u, u), (corr.v, v)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_distance_rejected(self):
+        t1, t2, _ = exact_scene()
+        with pytest.raises(ValueError):
+            build_correspondences(t1, t2, 0.0, 1.0, 0)
+
     def test_keys_align_with_rows(self):
         t1, t2, _ = exact_scene()
         corr, keys = build_correspondences(t1, t2, 0.0, 1.0, 1)
@@ -82,6 +159,31 @@ class TestBuildCorrespondences:
         assert len(corr_part) < len(corr_full)
         dropped = t2[0].track_id
         assert all(track != dropped for track, _ in keys)
+
+
+def test_skew_rows_match_per_sample_builders():
+    rng = np.random.default_rng(0)
+    s = np.column_stack([rng.normal(size=(6, 2)), np.ones(6)])
+    u = np.column_stack([rng.normal(size=(6, 2)), np.ones(6)])
+    v = np.column_stack([rng.normal(size=(6, 2)), np.zeros(6)])
+    z = np.zeros(3)
+    # solve_4pt_h and the h-min refit: two rows of [a]_x H s = 0 per sample
+    rows9 = [
+        row
+        for si, ai in zip(s, u)
+        for row in (np.concatenate([z, -si, ai[1] * si]),
+                    np.concatenate([si, z, -ai[0] * si]))
+    ]
+    # solve_min_h_beta: 12 monomials [h11..h33, beta*h31, beta*h32, beta*h33]
+    rows12 = [
+        row
+        for si, ui, vi in zip(s, u, v)
+        for row in (np.concatenate([z, -si, ui[1] * si, vi[1] * si]),
+                    np.concatenate([si, z, -ui[0] * si, -vi[0] * si]))
+    ]
+    assert _skew_rows(s, u).tobytes() == np.array(rows9).tobytes()
+    got12 = np.hstack([_skew_rows(s, u), _skew_rows(s, v)[:, 6:]])
+    assert got12.tobytes() == np.array(rows12).tobytes()
 
 
 class TestScoreCandidate:
