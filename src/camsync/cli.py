@@ -100,14 +100,27 @@ def _cmd_sync(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     kind = KIND_F_GEP if args.model == "F" else KIND_H_MIN
-    rp = RansacParams(
-        threshold=args.threshold,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        rho=args.rho,
-        d=args.d,
-        beta_max=args.beta_max,
-    )
+    try:
+        rp = RansacParams(
+            threshold=args.threshold,
+            max_iterations=args.max_iterations,
+            seed=args.seed,
+            rho=args.rho,
+            d=args.d,
+            beta_max=args.beta_max,
+        )
+        ip = None if args.single_shot else IterParams(
+            kind=kind,
+            k_max=args.kmax,
+            p_min=args.pmin,
+            p_max=args.pmax,
+            ransac=rp,
+        )
+        if args.fps is not None and not args.fps > 0:
+            raise ValueError("fps must be positive")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     config = {
         "model": args.model,
         "rho": args.rho,
@@ -140,13 +153,6 @@ def _cmd_sync(args) -> int:
                 }
             ]
         else:
-            ip = IterParams(
-                kind=kind,
-                k_max=args.kmax,
-                p_min=args.pmin,
-                p_max=args.pmax,
-                ransac=rp,
-            )
             run = iterative_sync(traj1, traj2, ip)
             beta = run.beta_total
             model = run.model

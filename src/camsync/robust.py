@@ -10,7 +10,8 @@ so results are deterministic and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,8 +74,10 @@ class RansacParams:
     refine_rounds: int = 2  # post-consensus least-squares rounds; 0 disables
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # also rejects NaN
             raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
         if self.d == 0:
@@ -97,6 +100,45 @@ class RansacResult:
     keys: list = field(default_factory=list)  # (track_id, frame) per correspondence
 
 
+def _matched_tracks(
+    traj1: list[Trajectory],
+    traj2: list[Trajectory],
+    beta0: float,
+    rho: float,
+    d: int,
+) -> Iterator[tuple]:
+    """Pair tracks by id and locate each camera-1 frame's secant in camera 2.
+
+    Yields ``(t1, t2, target, j0, first, ok)`` per matched track, in camera-1
+    track order: ``target`` is the camera-2 time of each camera-1 frame,
+    ``j0`` its floor, ``ok`` True where the secant frames j0 .. j0+d are all
+    present and ``first`` the sample index of the lower of j0, j0+d.
+    """
+    if d == 0:
+        raise ValueError("interpolation distance d must be nonzero")
+    by_id2 = {t.track_id: t for t in traj2}
+    for t1 in traj1:
+        t2 = by_id2.get(t1.track_id)
+        if t2 is None:
+            continue
+        target = beta0 + rho * t1.frames
+        j0 = np.floor(target).astype(np.int64)
+        # the secant's frames run from min(j0, j0 + d); p0 is at j0, p1 at j0 + d
+        first, ok = t2.runs(j0 + min(d, 0), abs(d))
+        yield t1, t2, target, j0, first, ok
+
+
+def count_correspondences(
+    traj1: list[Trajectory],
+    traj2: list[Trajectory],
+    beta0: float,
+    rho: float,
+    d: int,
+) -> int:
+    """Row count of ``build_correspondences`` without building the rows."""
+    return sum(int(ok.sum()) for *_, ok in _matched_tracks(traj1, traj2, beta0, rho, d))
+
+
 def build_correspondences(
     traj1: list[Trajectory],
     traj2: list[Trajectory],
@@ -111,20 +153,10 @@ def build_correspondences(
     boundary) are dropped. Returns the stacked arrays plus (track_id, frame)
     keys aligned with rows, in camera-1 track then frame order.
     """
-    if d == 0:
-        raise ValueError("interpolation distance d must be nonzero")
-    by_id2 = {t.track_id: t for t in traj2}
     # seeded with empty blocks so that no matched track stacks to (0, 3) arrays
     s1, u, v = [np.zeros((0, 2))], [np.zeros((0, 2))], [np.zeros((0, 2))]
     keys: list[tuple[str, int]] = []
-    for t1 in traj1:
-        t2 = by_id2.get(t1.track_id)
-        if t2 is None:
-            continue
-        target = beta0 + rho * t1.frames
-        j0 = np.floor(target).astype(np.int64)
-        # the secant's frames run from min(j0, j0 + d); p0 is at j0, p1 at j0 + d
-        first, ok = t2.runs(j0 + min(d, 0), abs(d))
+    for t1, t2, target, j0, first, ok in _matched_tracks(traj1, traj2, beta0, rho, d):
         target, j0 = target[ok], j0[ok]
         i0 = first[ok] - min(d, 0)
         p0 = t2.points[i0]
@@ -335,7 +367,3 @@ def ransac_estimate(
         keys=keys,
     )
 
-
-def with_seed(params: RansacParams, seed: int, d: int, beta0: float) -> RansacParams:
-    """Derive a parameter set for one directional call of the iterative loop."""
-    return replace(params, seed=int(seed), d=d, beta0=beta0)

@@ -228,11 +228,31 @@ def raw_pencil_eigenvalues(corr: CorrSet) -> np.ndarray:
 
 
 def _minor_nullvector(m: np.ndarray) -> np.ndarray:
-    """Nullspace of an 8x9 matrix as its nine signed 8x8 minors."""
+    """Nullspace of an 8x9 matrix as its nine signed 8x8 minors.
+
+    Scalar reference of ``_stacked_minor_nullvectors``, kept for the tests.
+    """
     sub = np.stack([np.delete(m, k, axis=1) for k in range(9)])
     dets = np.linalg.det(sub)
     signs = np.array([(-1.0) ** k for k in range(9)])
     return signs * dets
+
+
+# Chebyshev nodes on [-1, 1] at which det(F(beta)) is sampled
+_CHEB_NODES = np.cos(np.pi * (np.arange(40) + 0.5) / 40)
+# columns of the k-th 8x8 minor (column k deleted) and its cofactor sign
+_MINOR_COLS = np.array([[c for c in range(9) if c != k] for k in range(9)])
+_MINOR_SIGNS = np.array([(-1.0) ** k for k in range(9)])
+
+
+def _stacked_minor_nullvectors(ms: np.ndarray) -> np.ndarray:
+    """``_minor_nullvector`` of each 8x9 matrix in a (..., 8, 9) stack.
+
+    One gather builds all (..., 9, 8, 8) minors and one stacked ``det`` takes
+    them; LAPACK factors each minor as it would alone, so the bits match.
+    """
+    sub = np.swapaxes(ms[..., _MINOR_COLS], -3, -2)
+    return _MINOR_SIGNS * np.linalg.det(sub)
 
 
 def solve_min_f_beta(
@@ -244,19 +264,24 @@ def solve_min_f_beta(
     linear in F, with nullspace given by the signed 8x8 minors of the 8x9
     system, each a polynomial of degree <= 8 in beta. Substituting into
     det(F) = 0 yields a univariate polynomial of degree <= 24 whose real roots
-    are candidate shifts. Coefficients are recovered by evaluation at
-    Chebyshev nodes and the roots by the companion (colleague) matrix.
+    are candidate shifts. Coefficients are recovered by evaluation at 40
+    Chebyshev nodes on [-beta_span, beta_span] and the roots by the companion
+    (colleague) matrix.
+
+    Each stage runs as one stacked LAPACK call per draw: the 40 x 9 minors
+    in one ``det``, the 40 sampled determinants in another, and the
+    nullspaces of all real roots in one ``svd``. Roots whose 8x9 system has
+    rank below 8, whose F is not singular (|det F| > 1e-8) or whose
+    residual exceeds ``residual_tol`` are dropped.
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
     ncorr, t1, t2 = _normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
 
-    nodes = np.cos(np.pi * (np.arange(40) + 0.5) / 40) * beta_span
-    samples = np.empty(nodes.shape)
-    for i, b in enumerate(nodes):
-        n = _minor_nullvector(m1 + b * m2)
-        samples[i] = np.linalg.det(n.reshape(3, 3))
+    nodes = _CHEB_NODES * beta_span
+    nullvecs = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
+    samples = np.linalg.det(nullvecs.reshape(-1, 3, 3))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
@@ -266,13 +291,16 @@ def solve_min_f_beta(
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.chebyshev.chebroots(coeffs) * beta_span
 
+    real = _split_real(roots)
+    if not real:
+        raise NoRealSolution("no real root of the determinant polynomial")
+    betas = np.array([beta for beta, _, _ in real])
+    _, sing, vt = np.linalg.svd(m1 + betas[:, None, None] * m2)
     candidates = []
-    for beta, _, leak in _split_real(roots):
-        m = m1 + beta * m2
-        _, sing, vt = np.linalg.svd(m)
-        if sing[-1] < 1e-8 * sing[0]:
+    for (beta, _, leak), sv, null in zip(real, sing, vt[:, -1]):
+        if sv[-1] < 1e-8 * sv[0]:
             continue  # rank below 8: nullspace not unique, spurious root
-        fmat = (t2.T @ vt[-1].reshape(3, 3) @ t1)
+        fmat = t2.T @ null.reshape(3, 3) @ t1
         try:
             model = TwoViewModel.normalized(FUNDAMENTAL, fmat)
         except ValueError:
@@ -318,33 +346,26 @@ def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]
     _, sing, vt = np.linalg.svd(m)
     if sing[8] < 1e-10 * sing[0]:
         raise DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")
-    n1, n2, n3 = vt[-3], vt[-2], vt[-1]
+    null = vt[-3:]  # rows n1, n2, n3
+    n1, n2, n3 = null
 
     # constraints w[9+k] = beta * w[6+k], k = 0..2, in monomials
-    # [beta*g1, beta*g2, beta, g1, g2, 1] with w = g1 n1 + g2 n2 + n3
-    sys = np.empty((3, 6))
-    for k in range(3):
-        sys[k] = [
-            -n1[6 + k],
-            -n2[6 + k],
-            -n3[6 + k],
-            n1[9 + k],
-            n2[9 + k],
-            n3[9 + k],
-        ]
-    p, q = sys[:, :3], sys[:, 3:]
+    # [beta*g1, beta*g2, beta, g1, g2, 1] with w = g1 n1 + g2 n2 + n3;
+    # row k of p holds -n[6+k], row k of q holds n[9+k]
+    p, q = -null[:, 6:9].T, null[:, 9:12].T
     try:
         action = -np.linalg.solve(p, q)
     except np.linalg.LinAlgError as exc:
         raise DegenerateInput("quadratic system is rank-deficient") from exc
     values, vectors = np.linalg.eig(action)
+    t2_inv = np.linalg.inv(t2)
     candidates = []
     for beta, vec, leak in _split_real(values, vectors):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
         w = g1 * n1 + g2 * n2 + n3
-        hmat = np.linalg.inv(t2) @ w[:9].reshape(3, 3) @ t1
+        hmat = t2_inv @ w[:9].reshape(3, 3) @ t1
         try:
             model = TwoViewModel.normalized(HOMOGRAPHY, hmat)
         except ValueError:

@@ -21,46 +21,61 @@ from .geometry import ImageSample, Trajectory, TwoViewModel
 CSV_HEADER = ["camera_id", "track_id", "frame", "u", "v"]
 
 
+def trajectories_to_csv_text(trajectories: list[Trajectory]) -> str:
+    buf = io.StringIO()
+    buf.write(",".join(CSV_HEADER) + "\n")
+    for t in trajectories:
+        for s in t.samples:
+            buf.write(f"{t.camera_id},{t.track_id},{s.frame},{s.u!r},{s.v!r}\n")
+    return buf.getvalue()
+
+
 def write_trajectories(path, trajectories: list[Trajectory]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for t in trajectories:
-            for s in t.samples:
-                fh.write(f"{t.camera_id},{t.track_id},{s.frame},{s.u!r},{s.v!r}\n")
+        fh.write(trajectories_to_csv_text(trajectories))
+
+
+def _read_samples(path, fh) -> dict[tuple[str, str], list[ImageSample]]:
+    """Samples of each (camera_id, track_id) in file order."""
+    rows: dict[tuple[str, str], list[ImageSample]] = defaultdict(list)
+    seen: set[tuple[str, str, int]] = set()
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TrajectoryFormatError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise TrajectoryFormatError(
+            f"{path}:1: expected header {','.join(CSV_HEADER)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 5:
+            raise TrajectoryFormatError(f"{path}:{lineno}: expected 5 fields")
+        cam, track, frame_s, u_s, v_s = (c.strip() for c in row)
+        try:
+            # ImageSample rejects negative frames and non-finite coordinates
+            sample = ImageSample(frame=int(frame_s), u=float(u_s), v=float(v_s))
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+        key = (cam, track, sample.frame)
+        if key in seen:
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: duplicate (camera_id, track_id, frame) {key}"
+            )
+        seen.add(key)
+        rows[(cam, track)].append(sample)
+    return rows
 
 
 def read_trajectories(path) -> dict[str, list[Trajectory]]:
     """Parse a trajectory CSV into {camera_id: [Trajectory, ...]}."""
-    rows: dict[tuple[str, str], list[ImageSample]] = defaultdict(list)
-    seen: set[tuple[str, str, int]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrajectoryFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise TrajectoryFormatError(
-                f"{path}:1: expected header {','.join(CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise TrajectoryFormatError(f"{path}:{lineno}: expected 5 fields")
-            cam, track, frame_s, u_s, v_s = (c.strip() for c in row)
-            try:
-                # ImageSample rejects negative frames and non-finite coordinates
-                sample = ImageSample(frame=int(frame_s), u=float(u_s), v=float(v_s))
-            except ValueError as exc:
-                raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-            key = (cam, track, sample.frame)
-            if key in seen:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: duplicate (camera_id, track_id, frame) {key}"
-                )
-            seen.add(key)
-            rows[(cam, track)].append(sample)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = _read_samples(path, fh)
+    except UnicodeDecodeError as exc:
+        raise TrajectoryFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out: dict[str, list[Trajectory]] = defaultdict(list)
     for (cam, track), samples in rows.items():
         samples.sort(key=lambda s: s.frame)
@@ -133,12 +148,3 @@ class SyncReport:
             seed=data["seed"],
             config=data.get("config", {}),
         )
-
-
-def trajectories_to_csv_text(trajectories: list[Trajectory]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_HEADER) + "\n")
-    for t in trajectories:
-        for s in t.samples:
-            buf.write(f"{t.camera_id},{t.track_id},{s.frame},{s.u!r},{s.v!r}\n")
-    return buf.getvalue()

@@ -270,6 +270,35 @@ class TestCliSync:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
+    @pytest.mark.parametrize(
+        "opts, message",
+        [
+            (["--threshold", "0"], "threshold must be positive"),
+            (["--threshold", "nan"], "threshold must be positive"),
+            (["--single-shot", "--d", "0"], "d must be nonzero"),
+            (["--pmin", "3", "--pmax", "1"], "need 0 <= p_min <= p_max"),
+            (["--rho", "0"], "rho must be positive and finite"),
+            (["--single-shot", "--fps", "0"], "fps must be positive"),
+        ],
+    )
+    def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):
+        path = tmp_path / "two.csv"
+        path.write_text("camera_id,track_id,frame,u,v\ncam1,t0,0,1.0,2.0\ncam2,t0,0,1.0,2.0\n")
+        rc = main(["sync", str(path), *opts])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(
+            b"camera_id,track_id,frame,u,v\ncam1,t\xff,0,1.0,2.0\ncam2,t0,0,1.0,2.0\n"
+        )
+        with pytest.raises(TrajectoryFormatError, match="not UTF-8"):
+            read_trajectories(path)
+        rc = main(["sync", str(path)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         rc = main(["sync", str(tmp_path / "nope.csv")])
         assert rc == EXIT_INPUT

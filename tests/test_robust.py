@@ -26,8 +26,8 @@ from camsync.robust import (
     KIND_H_MIN,
     SAMPLE_SIZES,
     build_correspondences,
+    count_correspondences,
     score_candidate,
-    with_seed,
 )
 from camsync.solvers import SolverCandidate, _skew_rows
 
@@ -120,6 +120,7 @@ class TestBuildCorrespondences:
         corr, keys = build_correspondences(traj1, traj2, beta0, rho, d)
         (s1, u, v), ref_keys = reference_build(traj1, traj2, beta0, rho, d)
         assert keys == ref_keys
+        assert count_correspondences(traj1, traj2, beta0, rho, d) == len(keys)
         for got, want in ((corr.s1, s1), (corr.u, u), (corr.v, v)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -213,17 +214,17 @@ class TestRansacParams:
             RansacParams(confidence=1.0)
         with pytest.raises(ValueError):
             RansacParams(d=0)
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                RansacParams(threshold=bad)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho"):
+                RansacParams(rho=bad)
 
     def test_beta_window_default_tracks_d(self):
         assert RansacParams(d=1).beta_window == 10.0
         assert RansacParams(d=-4).beta_window == 40.0
         assert RansacParams(d=4, beta_max=3.0).beta_window == 3.0
-
-    def test_with_seed_derives_directional_params(self):
-        base = RansacParams(threshold=2.0, max_iterations=50)
-        p = with_seed(base, seed=7, d=-2, beta0=5.0)
-        assert (p.seed, p.d, p.beta0) == (7, -2, 5.0)
-        assert p.threshold == 2.0 and p.max_iterations == 50
 
 
 class TestRansacEstimate:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsync import (
     DegenerateInput,
@@ -20,7 +22,15 @@ from camsync import (
 )
 from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY
 from camsync.robust import build_correspondences
-from camsync.solvers import CorrSet, build_f_pencil, raw_pencil_eigenvalues
+from camsync import solvers
+from camsync.solvers import (
+    CorrSet,
+    _minor_nullvector,
+    _normalize_corr,
+    _stacked_minor_nullvectors,
+    build_f_pencil,
+    raw_pencil_eigenvalues,
+)
 
 
 def exact_corr(seed, beta_gt, d, n_pick, n_tracks=3, exact_model="F"):
@@ -170,6 +180,78 @@ class TestMinFBeta:
         cands = solve_min_f_beta(corr)
         residuals = [c.algebraic_residual for c in cands]
         assert residuals == sorted(residuals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        beta_span=st.sampled_from([1.0, 16.0, 40.0]),
+        repeat_row=st.booleans(),
+    )
+    def test_stacked_minors_bit_identical_to_scalar(self, seed, beta_span, repeat_row):
+        rng = np.random.default_rng(seed)
+        m1 = rng.normal(size=(8, 9)) * 10.0 ** rng.uniform(-3, 3, size=(8, 1))
+        m2 = rng.normal(size=(8, 9))
+        if repeat_row:  # every minor singular
+            m1[1], m2[1] = m1[0], m2[0]
+        nodes = solvers._CHEB_NODES * beta_span
+        got = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
+        want = np.stack([_minor_nullvector(m1 + b * m2) for b in nodes])
+        assert got.shape == (40, 9)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_real_root_raises_no_real_solution(self, monkeypatch):
+        corr, _ = exact_corr(seed=11, beta_gt=1.0, d=1, n_pick=8)
+        monkeypatch.setattr(
+            np.polynomial.chebyshev, "chebroots", lambda c: np.array([0.5 + 1j, 0.5 - 1j])
+        )
+        with pytest.raises(NoRealSolution):
+            solve_min_f_beta(corr)
+
+    def test_rank_deficient_root_rejected(self, monkeypatch):
+        corr, _ = exact_corr(seed=11, beta_gt=1.0, d=1, n_pick=8)
+        # rows 6 and 7 share s and meet at u + beta v for beta = 0.25 only
+        s1, u, v = corr.s1.copy(), corr.u.copy(), corr.v.copy()
+        beta = 0.25
+        s1[7] = s1[6]
+        v[7, :2] = v[6, :2] + [3.0, -2.0]
+        u[7] = u[6] + beta * (v[6] - v[7])
+        corr = CorrSet(s1, u, v)
+        ncorr, _, _ = _normalize_corr(corr)
+        m1, m2 = build_f_pencil(ncorr)
+        sing = np.linalg.svd(m1 + beta * m2, compute_uv=False)
+        assert sing[-1] < 1e-8 * sing[0]
+        monkeypatch.setattr(
+            np.polynomial.chebyshev, "chebroots", lambda c: np.array([beta / 16.0])
+        )
+        made, normalized = [], TwoViewModel.normalized
+        monkeypatch.setattr(
+            TwoViewModel, "normalized", staticmethod(lambda *a: made.append(a) or normalized(*a))
+        )
+        with pytest.raises(NoRealSolution):
+            solve_min_f_beta(corr)
+        assert made == []  # dropped before any model was formed
+
+    def test_nonsingular_f_rejected(self, monkeypatch):
+        # unit-scale coordinates, so that a full-rank F has a sizeable det
+        rng = np.random.default_rng(1)
+        corr = CorrSet(
+            s1=np.column_stack([rng.uniform(-1, 1, (8, 2)), np.ones(8)]),
+            u=np.column_stack([rng.uniform(-1, 1, (8, 2)), np.ones(8)]),
+            v=np.column_stack([rng.uniform(-0.1, 0.1, (8, 2)), np.zeros(8)]),
+        )
+        beta = 0.3  # not a root: the unique nullvector is a full-rank F
+        ncorr, t1, t2 = _normalize_corr(corr)
+        m1, m2 = build_f_pencil(ncorr)
+        _, sing, vt = np.linalg.svd(m1 + beta * m2)
+        assert sing[-1] >= 1e-8 * sing[0]
+        f = TwoViewModel.normalized(FUNDAMENTAL, t2.T @ vt[-1].reshape(3, 3) @ t1)
+        assert abs(np.linalg.det(f.m)) > 1e-8
+        assert solvers._f_residual(corr, beta, f.m) < 1e-6
+        monkeypatch.setattr(
+            np.polynomial.chebyshev, "chebroots", lambda c: np.array([beta / 16.0])
+        )
+        with pytest.raises(NoRealSolution):
+            solve_min_f_beta(corr)
 
 
 class TestMinHBeta:
