@@ -19,14 +19,12 @@ from .geometry import (
     HOMOGRAPHY,
     ImageSample,
     LinearizedCorrespondence,
-    TimeModel,
     Trajectory,
     TwoViewModel,
     epipolar_residual,
     homography_residual,
     linearize,
     model_distance,
-    time_map,
 )
 from .pose import (
     CameraCalib,

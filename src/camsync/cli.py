@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -15,11 +16,11 @@ from .pose import decompose_f, relative_pose, rotation_error, translation_error
 from .robust import (
     KIND_F_GEP,
     KIND_H_MIN,
-    SAMPLE_SIZES,
+    SOLVER_KINDS,
     RansacParams,
     ransac_estimate,
 )
-from .sync import IterParams, SyncRun, iterative_sync
+from .sync import IterationRecord, IterParams, SyncRun, iterative_sync
 from .synth import SceneSpec, generate_scene
 from .trajio import SyncReport, read_trajectories, write_trajectories
 
@@ -27,8 +28,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_ALGORITHM = 2
 
-SINGLE_SHOT_KINDS = ("f-gep", "f-min", "h-min", "f-7pt", "h-4pt")
-ITER_KINDS = ("iter-f", "iter-h")
+# the solver of each geometry: `sync --model F|H` and the sweep's iter-f / iter-h
+ITER_KINDS = {"iter-f": KIND_F_GEP, "iter-h": KIND_H_MIN}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,7 +100,7 @@ def _cmd_sync(args) -> int:
     except (OSError, TrajectoryFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    kind = KIND_F_GEP if args.model == "F" else KIND_H_MIN
+    kind = ITER_KINDS[f"iter-{args.model.lower()}"]
     try:
         rp = RansacParams(
             threshold=args.threshold,
@@ -140,36 +141,24 @@ def _cmd_sync(args) -> int:
             model = res.best.model
             inliers = res.inlier_count
             total = res.total_correspondences
-            log = [
-                {
-                    "k": 1,
-                    "d": args.d,
-                    "direction": 1 if args.d > 0 else -1,
-                    "inlier_count": int(res.inlier_count),
-                    "beta_k": float(beta),
-                    "accepted": True,
-                    "j_after": 0,
-                    "skipped_after": 0,
-                }
+            records = [
+                IterationRecord(
+                    k=1,
+                    d=args.d,
+                    direction=1 if args.d > 0 else -1,
+                    inlier_count=res.inlier_count,
+                    beta_k=beta,
+                    accepted=True,
+                    j_after=0,
+                    skipped_after=0,
+                )
             ]
         else:
             run = iterative_sync(traj1, traj2, ip)
             beta = run.beta_total
             model = run.model
-            log = [
-                {
-                    "k": r.k,
-                    "d": r.d,
-                    "direction": r.direction,
-                    "inlier_count": int(r.inlier_count),
-                    "beta_k": float(r.beta_k),
-                    "accepted": bool(r.accepted),
-                    "j_after": int(r.j_after),
-                    "skipped_after": int(r.skipped_after),
-                }
-                for r in run.iterations
-            ]
-            accepted = [r for r in run.iterations if r.accepted]
+            records = run.iterations
+            accepted = [r for r in records if r.accepted]
             inliers = accepted[-1].inlier_count if accepted else 0
             total = run.total_correspondences
     except CamsyncError as exc:
@@ -186,7 +175,7 @@ def _cmd_sync(args) -> int:
         model=model,
         inliers=inliers,
         total=total,
-        log=log,
+        log=[asdict(r) for r in records],
         seed=args.seed,
         config=config,
     )
@@ -278,7 +267,7 @@ def run_sweep(config: dict) -> list[dict]:
             "'ds' (unless all algorithms are iterative)"
         )
     for a in algorithms:
-        if a not in SINGLE_SHOT_KINDS and a not in ITER_KINDS:
+        if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
     master = int(config.get("seed", 0))
     motion = config.get("motion", "smooth-random")
@@ -350,13 +339,12 @@ def _sweep_cell(
     )
     try:
         if alg in ITER_KINDS:
-            kind = KIND_F_GEP if alg == "iter-f" else KIND_H_MIN
+            kind = ITER_KINDS[alg]
             run = iterative_sync(
                 traj1, traj2, IterParams(kind=kind, k_max=kmax, p_min=pmin,
                                          p_max=pmax, ransac=rp)
             )
             row["beta_est"] = repr(float(run.beta_total))
-            accepted = [r for r in run.iterations if r.accepted]
             row["inlier_fraction"] = repr(
                 _final_inlier_fraction(traj1, traj2, rp, kind, run)
             )
@@ -364,7 +352,7 @@ def _sweep_cell(
             model = run.model
         else:
             res = ransac_estimate(traj1, traj2, alg, rp)
-            if alg not in ("f-7pt", "h-4pt"):
+            if SOLVER_KINDS[alg].estimates_beta:
                 row["beta_est"] = repr(float(res.best.beta))
             row["inlier_fraction"] = repr(res.inlier_count / res.total_correspondences)
             row["ransac_count"] = 1

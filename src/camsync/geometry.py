@@ -1,10 +1,10 @@
 """Core types for two-view time-shift estimation.
 
-Tracks are sequences of 2D image samples indexed by integer frame. A
-``TimeModel`` maps camera-1 frame indices to real-valued camera-2 time via
-``j(i) = beta + rho * i``. The camera-2 image curve is approximated around an
-anchor frame by a secant, producing a linearized correspondence whose
-predicted point at shift ``beta`` is ``u + beta * v``.
+Tracks are sequences of 2D image samples indexed by integer frame. Camera-1
+frame ``i`` happens at real-valued camera-2 time ``j(i) = beta + rho * i``.
+The camera-2 image curve is approximated around an anchor frame by a secant,
+producing a linearized correspondence whose predicted point at shift ``beta``
+is ``u + beta * v``.
 """
 
 from __future__ import annotations
@@ -107,33 +107,6 @@ class Trajectory:
         """True when every integer frame between a and b (inclusive) is present."""
         lo, hi = min(frame_a, frame_b), max(frame_a, frame_b)
         return self._run(lo, hi - lo) is not None
-
-    @property
-    def first_frame(self) -> int:
-        return self.samples[0].frame
-
-    @property
-    def last_frame(self) -> int:
-        return self.samples[-1].frame
-
-
-@dataclass(frozen=True)
-class TimeModel:
-    """Affine frame-to-time map: camera-1 frame i happens at camera-2 time beta + rho*i."""
-
-    beta: float
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite")
-
-
-def time_map(i: int, model: TimeModel) -> float:
-    """Camera-2 time of camera-1 frame i."""
-    return model.beta + model.rho * i
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,32 @@ KIND_H_MIN = "h-min"
 KIND_F_7PT = "f-7pt"
 KIND_H_4PT = "h-4pt"
 
-SAMPLE_SIZES = {
-    KIND_F_GEP: 9,
-    KIND_F_MIN: 8,
-    KIND_H_MIN: 5,
-    KIND_F_7PT: 7,
-    KIND_H_4PT: 4,
+
+@dataclass(frozen=True)
+class SolverKind:
+    """What a RANSAC solver kind is: its minimal sample, its geometry and
+    whether it estimates the shift (the classical baselines hold it at beta0)."""
+
+    sample_size: int
+    geometry: str  # FUNDAMENTAL or HOMOGRAPHY
+    estimates_beta: bool
+
+
+SOLVER_KINDS = {
+    KIND_F_GEP: SolverKind(9, FUNDAMENTAL, True),
+    KIND_F_MIN: SolverKind(8, FUNDAMENTAL, True),
+    KIND_H_MIN: SolverKind(5, HOMOGRAPHY, True),
+    KIND_F_7PT: SolverKind(7, FUNDAMENTAL, False),
+    KIND_H_4PT: SolverKind(4, HOMOGRAPHY, False),
 }
 
-_F_KINDS = (KIND_F_GEP, KIND_F_MIN, KIND_F_7PT)
+
+def solver_kind(kind: str) -> SolverKind:
+    """The table entry of ``kind``; ValueError names an unknown kind."""
+    try:
+        return SOLVER_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown solver kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,6 +99,10 @@ class RansacParams:
             raise ValueError("confidence must be in (0, 1)")
         if self.d == 0:
             raise ValueError("d must be nonzero")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.beta_max is not None and not self.beta_max >= 0:  # also rejects NaN
+            raise ValueError("beta_max must be non-negative")
 
     @property
     def beta_window(self) -> float:
@@ -182,16 +203,11 @@ def _generate(kind: str, sub: CorrSet, beta0: float) -> list[SolverCandidate]:
         return solve_min_f_beta(sub)
     if kind == KIND_H_MIN:
         return solve_min_h_beta(sub)
-    if kind == KIND_F_7PT:
-        return [
-            SolverCandidate(beta=beta0, model=m, algebraic_residual=0.0)
-            for m in solve_7pt_f(sub)
-        ]
-    if kind == KIND_H_4PT:
-        return [
-            SolverCandidate(beta=beta0, model=solve_4pt_h(sub), algebraic_residual=0.0)
-        ]
-    raise ValueError(f"unknown solver kind {kind!r}")
+    # the classical baselines: models only, the shift held at beta0
+    models = solve_7pt_f(sub) if kind == KIND_F_7PT else [solve_4pt_h(sub)]
+    return [
+        SolverCandidate(beta=beta0, model=m, algebraic_residual=0.0) for m in models
+    ]
 
 
 def score_candidate(
@@ -199,7 +215,7 @@ def score_candidate(
 ) -> tuple[np.ndarray, float]:
     """Inlier mask and summed inlier residual of one hypothesis over all rows."""
     pred = corr.u + cand.beta * corr.v
-    if kind in _F_KINDS:
+    if solver_kind(kind).geometry == FUNDAMENTAL:
         res = sampson_distances(cand.model.m, corr.s1, pred)
     else:
         res = transfer_distances(cand.model.m, corr.s1, pred)
@@ -213,20 +229,20 @@ def _smallest_right_singular(rows: np.ndarray) -> np.ndarray:
     return vecs[:, 0]
 
 
-def _fit_model_at_beta(kind: str, sub: CorrSet, beta: float) -> TwoViewModel:
+def _fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:
     """Least-squares model over a consensus set with the shift held fixed."""
     sub_n, t1, t2 = _normalize_corr(sub)
     pred = sub_n.u + beta * sub_n.v
-    if kind in _F_KINDS:
+    if geometry == FUNDAMENTAL:
         fn = _smallest_right_singular(_kron_rows(pred, sub_n.s1)).reshape(3, 3)
         return TwoViewModel.normalized(FUNDAMENTAL, t2.T @ fn @ t1)
     hn = _smallest_right_singular(_skew_rows(sub_n.s1, pred)).reshape(3, 3)
     return TwoViewModel.normalized(HOMOGRAPHY, np.linalg.inv(t2) @ hn @ t1)
 
 
-def _fit_beta_at_model(kind: str, sub: CorrSet, model: TwoViewModel) -> float:
+def _fit_beta_at_model(geometry: str, sub: CorrSet, model: TwoViewModel) -> float:
     """Closed-form least-squares shift with the model held fixed."""
-    if kind in _F_KINDS:
+    if geometry == FUNDAMENTAL:
         a = np.einsum("ij,ij->i", sub.u @ model.m, sub.s1)
         b = np.einsum("ij,ij->i", sub.v @ model.m, sub.s1)
         denom = float(b @ b)
@@ -263,15 +279,17 @@ def refine_candidate(
     best_count = int(best_mask.sum())
     lo = params.beta0 - params.beta_window
     hi = params.beta0 + params.beta_window
-    fixed_beta = kind in (KIND_F_7PT, KIND_H_4PT)
+    spec = solver_kind(kind)
     for _ in range(rounds):
         idx = np.flatnonzero(best_mask)
-        if len(idx) < SAMPLE_SIZES[kind]:
+        if len(idx) < spec.sample_size:
             break
         sub = corr.take(idx)
         try:
-            model = _fit_model_at_beta(kind, sub, best.beta)
-            beta = best.beta if fixed_beta else _fit_beta_at_model(kind, sub, model)
+            model = _fit_model_at_beta(spec.geometry, sub, best.beta)
+            beta = best.beta
+            if spec.estimates_beta:
+                beta = _fit_beta_at_model(spec.geometry, sub, model)
         except (DegenerateInput, np.linalg.LinAlgError):
             break
         beta = min(max(beta, lo), hi)
@@ -300,7 +318,7 @@ def ransac_estimate(
     Deterministic for fixed seed and inputs. Sampled sets rejected by the
     solver do not count toward the adaptive termination rule.
     """
-    m = SAMPLE_SIZES[kind]
+    m = solver_kind(kind).sample_size
     corr, keys = build_correspondences(traj1, traj2, params.beta0, params.rho, params.d)
     n = len(corr)
     if n < m:

@@ -24,7 +24,7 @@ from .robust import (
     RansacResult,
     count_correspondences,
     ransac_estimate,
-    SAMPLE_SIZES,
+    solver_kind,
 )
 # not called here; the benchmark's traced run wraps this binding
 from .robust import build_correspondences  # noqa: F401
@@ -40,6 +40,7 @@ class IterParams:
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self):
+        solver_kind(self.kind)
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if not (0 <= self.p_min <= self.p_max):
@@ -80,7 +81,7 @@ def _derived_seed(seed: int, k: int, direction: int) -> int:
 def _enough_overlap(
     traj1: list[Trajectory], traj2: list[Trajectory], beta0: float, rho: float, kind: str
 ) -> bool:
-    return count_correspondences(traj1, traj2, beta0, rho, d=1) >= SAMPLE_SIZES[kind]
+    return count_correspondences(traj1, traj2, beta0, rho, d=1) >= solver_kind(kind).sample_size
 
 
 def iterative_sync(
@@ -90,9 +91,7 @@ def iterative_sync(
     rho = params.ransac.rho
     offset = 0  # accumulated integer camera-2 offset (j - i)
     p = params.p_min
-    d = 2**params.p_min
     skipped = 0
-    k = 1
     last_inliers = 0
     last_total = 0
     last_beta_rel: float | None = None
@@ -101,7 +100,9 @@ def iterative_sync(
     calls = 0
     accepted_steps = 0
 
-    while k < params.k_max and skipped <= params.p_max:
+    while accepted_steps + 1 < params.k_max and skipped <= params.p_max:
+        k = accepted_steps + 1  # k advances only on an accepted step
+        d = 2**p
         results: list[tuple[int, RansacResult | None]] = []
         for direction in (+1, -1):
             rp = replace(
@@ -118,18 +119,15 @@ def iterative_sync(
                     raise
                 results.append((direction, None))
         usable = [(dr, r) for dr, r in results if r is not None]
-        if not usable:
-            skipped += 1
-            p = p + 1 if p < params.p_max else 0
-            d = 2**p
-            continue
-        # tie on inliers prefers the +d direction (listed first)
-        direction, res = max(usable, key=lambda pr: pr[1].inlier_count)
-        best: SolverCandidate = res.best
-        beta_rel = best.beta - offset
-        step = _round_half_away(beta_rel)
-        in_bounds = _enough_overlap(traj1, traj2, float(offset + step), rho, params.kind)
-        improved = res.inlier_count > last_inliers and in_bounds
+        improved = False
+        if usable:
+            # tie on inliers prefers the +d direction (listed first)
+            direction, res = max(usable, key=lambda pr: pr[1].inlier_count)
+            best: SolverCandidate = res.best
+            beta_rel = best.beta - offset
+            step = _round_half_away(beta_rel)
+            in_bounds = _enough_overlap(traj1, traj2, float(offset + step), rho, params.kind)
+            improved = res.inlier_count > last_inliers and in_bounds
         if improved:
             offset += step
             last_inliers = res.inlier_count
@@ -138,21 +136,10 @@ def iterative_sync(
             last_model = best.model
             skipped = 0
             accepted_steps += 1
-            log.append(
-                IterationRecord(
-                    k=k,
-                    d=direction * d,
-                    direction=direction,
-                    inlier_count=res.inlier_count,
-                    beta_k=beta_rel,
-                    accepted=True,
-                    j_after=offset,
-                    skipped_after=skipped,
-                )
-            )
-            k += 1
         else:
             skipped += 1
+            p = p + 1 if p < params.p_max else 0
+        if usable:
             log.append(
                 IterationRecord(
                     k=k,
@@ -160,13 +147,11 @@ def iterative_sync(
                     direction=direction,
                     inlier_count=res.inlier_count,
                     beta_k=beta_rel,
-                    accepted=False,
+                    accepted=improved,
                     j_after=offset,
                     skipped_after=skipped,
                 )
             )
-            p = p + 1 if p < params.p_max else 0
-            d = 2**p
 
     if last_model is None or last_beta_rel is None:
         raise NeverImproved("no iteration ever beat zero inliers", log=log)

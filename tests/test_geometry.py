@@ -1,4 +1,4 @@
-"""Core types, the time-shift model, linearization, and residual metrics."""
+"""Core types, linearization, and residual metrics."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from camsync import (
     ImageSample,
     MissingFrame,
-    TimeModel,
     Trajectory,
     TwoViewModel,
     ZeroVector,
@@ -18,7 +17,6 @@ from camsync import (
     homography_residual,
     linearize,
     model_distance,
-    time_map,
 )
 from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY, sampson_distances
 
@@ -66,31 +64,6 @@ class TestImageSampleAndTrajectory:
         assert t.contiguous(5, 6)
         assert not t.contiguous(2, 5)
         assert not t.contiguous(0, 6)
-
-
-class TestTimeMap:
-    def test_identity_case(self):
-        assert time_map(0, TimeModel(beta=0.0, rho=1.0)) == 0.0
-
-    def test_direct_evaluation(self):
-        assert time_map(10, TimeModel(beta=2.5, rho=1.0)) == 12.5
-
-    def test_half_rate_camera(self):
-        # second camera running at half the frame rate of the first
-        assert time_map(4, TimeModel(beta=0.0, rho=0.5)) == 2.0
-
-    def test_rho_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeModel(beta=0.0, rho=0.0)
-
-    @given(
-        i=st.integers(min_value=0, max_value=10_000),
-        beta=st.floats(-100, 100),
-        rho=st.floats(0.1, 10),
-    )
-    def test_affine_increment_is_rho(self, i, beta, rho):
-        m = TimeModel(beta=beta, rho=rho)
-        assert time_map(i + 1, m) - time_map(i, m) == pytest.approx(rho, abs=1e-9)
 
 
 class TestLinearize:

@@ -279,6 +279,10 @@ class TestCliSync:
             (["--pmin", "3", "--pmax", "1"], "need 0 <= p_min <= p_max"),
             (["--rho", "0"], "rho must be positive and finite"),
             (["--single-shot", "--fps", "0"], "fps must be positive"),
+            (["--beta-max", "-1"], "beta_max must be non-negative"),
+            (["--beta-max", "nan"], "beta_max must be non-negative"),
+            (["--max-iterations", "0"], "max_iterations must be >= 1"),
+            (["--max-iterations", "-5"], "max_iterations must be >= 1"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):

@@ -24,7 +24,7 @@ from camsync.robust import (
     KIND_F_MIN,
     KIND_H_4PT,
     KIND_H_MIN,
-    SAMPLE_SIZES,
+    SOLVER_KINDS,
     build_correspondences,
     count_correspondences,
     score_candidate,
@@ -339,10 +339,21 @@ class TestBaselines:
         assert joint.inlier_count > classical.inlier_count
 
     def test_sample_sizes(self):
-        assert SAMPLE_SIZES == {
+        assert {kind: s.sample_size for kind, s in SOLVER_KINDS.items()} == {
             KIND_F_GEP: 9,
             KIND_F_MIN: 8,
             KIND_H_MIN: 5,
             KIND_F_7PT: 7,
             KIND_H_4PT: 4,
         }
+
+    def test_unknown_kind_named_before_any_build(self, monkeypatch):
+        import camsync.robust as robust_mod
+
+        def build(*args):
+            raise AssertionError("correspondences built for an unknown kind")
+
+        monkeypatch.setattr(robust_mod, "build_correspondences", build)
+        t1, t2, _ = exact_scene()
+        with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
+            ransac_estimate(t1, t2, "bogus", RansacParams())

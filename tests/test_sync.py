@@ -55,6 +55,8 @@ class TestIterParams:
             IterParams(kind=KIND_F_GEP, k_max=0)
         with pytest.raises(ValueError):
             IterParams(kind=KIND_F_GEP, p_min=3, p_max=1)
+        with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
+            IterParams(kind="bogus")
 
 
 class TestIterativeSync:
