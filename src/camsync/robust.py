@@ -103,6 +103,8 @@ class RansacParams:
             raise ValueError("max_iterations must be >= 1")
         if self.beta_max is not None and not self.beta_max >= 0:  # also rejects NaN
             raise ValueError("beta_max must be non-negative")
+        if not 0 <= self.seed <= 2**64 - 1:  # each draw's stream is uint64(seed) ^ it
+            raise ValueError("seed must be in [0, 2**64 - 1]")
 
     @property
     def beta_window(self) -> float:
@@ -196,9 +198,13 @@ def build_correspondences(
     return corr, keys
 
 
-def _generate(kind: str, sub: CorrSet, beta0: float) -> list[SolverCandidate]:
+def _generate(
+    kind: str, sub: CorrSet, beta0: float, window: tuple[float, float]
+) -> list[SolverCandidate]:
+    # f-gep builds no model for a shift outside the window; the other solvers'
+    # per-root filters decide whether a draw is valid, so they build them all
     if kind == KIND_F_GEP:
-        return solve_gep_f_beta(sub)
+        return solve_gep_f_beta(sub, window)
     if kind == KIND_F_MIN:
         return solve_min_f_beta(sub)
     if kind == KIND_H_MIN:
@@ -341,7 +347,7 @@ def ransac_estimate(
         rng = np.random.default_rng(np.uint64(params.seed) ^ np.uint64(it))
         idx = rng.choice(n, size=m, replace=False)
         try:
-            cands = _generate(kind, corr.take(idx), params.beta0)
+            cands = _generate(kind, corr.take(idx), params.beta0, (lo, hi))
         except (DegenerateInput, NoRealSolution):
             continue
         valid_draws += 1

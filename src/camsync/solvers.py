@@ -22,10 +22,12 @@ image before the eigenproblems are formed; models are denormalized afterwards.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dggev
 
 from .errors import DegenerateInput, NoRealSolution
 from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
@@ -172,13 +174,75 @@ def build_f_pencil(corr: CorrSet) -> tuple[np.ndarray, np.ndarray]:
     return _kron_rows(corr.u, corr.s1), _kron_rows(corr.v, corr.s1)
 
 
-def solve_gep_f_beta(corr: CorrSet) -> list[SolverCandidate]:
+# the Euclidean norm scipy.linalg.eig normalizes eigenvectors with
+_NRM2 = {
+    dt: scipy.linalg.get_blas_funcs("nrm2", dtype=dt, ilp64="preferred")
+    for dt in (np.float64, np.complex128)
+}
+
+
+@functools.cache
+def _ggev_lwork(n: int) -> int:
+    """dggev's optimal workspace for n x n pencils; it depends on n only."""
+    zeros = np.zeros((n, n))
+    return int(dggev(zeros, zeros, lwork=-1)[-2][0])
+
+
+def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eig(a, b)`` for real square a, b, bit for bit.
+
+    One ``dggev`` call with a cached workspace size, then scipy's own
+    post-processing: ``alpha / beta`` with inf for beta = 0 and nan for
+    0 / 0, complex-pair eigenvectors assembled from the real and imaginary
+    columns, and each column divided by its BLAS ``nrm2``. Skips scipy's
+    argument validation and its per-call workspace query. Non-finite input
+    and LAPACK failures raise ``DegenerateInput``.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DegenerateInput("GEP failed: pencil has non-finite entries")
+    alphar, alphai, beta, _, vr, _, info = dggev(a, b, 0, 1, _ggev_lwork(a.shape[0]))
+    if info != 0:
+        raise DegenerateInput(f"GEP failed: dggev info={info}")
+    alpha = alphar + 1j * alphai
+    w = np.empty_like(alpha)
+    alpha_zero = alpha == 0
+    beta_zero = beta == 0
+    w[~beta_zero] = alpha[~beta_zero] / beta[~beta_zero]
+    w[~alpha_zero & beta_zero] = np.inf
+    if np.all(alpha.imag == 0):
+        w[alpha_zero & beta_zero] = np.nan
+    else:
+        w[alpha_zero & beta_zero] = complex(np.nan, np.nan)
+    if not np.all(w.imag == 0.0):
+        v = np.array(vr, dtype=w.dtype)
+        pair = w.imag > 0
+        pair[:-1] |= w.imag[1:] < 0
+        for i in np.flatnonzero(pair):
+            v.imag[:, i] = vr[:, i + 1]
+            np.conj(v[:, i], v[:, i + 1])
+        vr = v
+    if not np.isfinite(vr).all():  # scipy's norm rejects it
+        raise DegenerateInput("GEP failed: non-finite eigenvectors")
+    nrm2 = _NRM2[vr.dtype.type]
+    for i in range(vr.shape[1]):
+        vr[:, i] /= nrm2(vr[:, i])
+    return w, vr
+
+
+def solve_gep_f_beta(
+    corr: CorrSet, window: tuple[float, float] | None = None
+) -> list[SolverCandidate]:
     """Fundamental matrix + time shift from 9 correspondences via a 6x6 GEP.
 
     The beta coefficient matrix has three identically-zero columns (the
     tangent has no homogeneous component), so the 9x9 pencil is compressed to
     a 6x6 problem with the same finite eigenvalues. The returned F is not
     rank-2 in general.
+
+    With ``window = (lo, hi)`` only the candidates with lo <= beta <= hi are
+    built and returned, in the same order as without it. A pencil with real
+    eigenvalues, all outside the window, gives an empty list; one with none
+    raises ``NoRealSolution`` either way.
     """
     if len(corr) != 9:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
@@ -190,14 +254,20 @@ def solve_gep_f_beta(corr: CorrSet) -> list[SolverCandidate]:
     q2 = q[:, 3:]
     a6 = q2.T @ m1[:, :6]
     c6 = q2.T @ m2[:, :6]
-    try:
-        values, vectors = scipy.linalg.eig(a6, -c6)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise DegenerateInput(f"GEP failed: {exc}") from exc
+    values, vectors = _ggev(a6, -c6)
     if not np.any(np.isfinite(values)):
         raise DegenerateInput("pencil is singular for all beta")
+    lo, hi = (-np.inf, np.inf) if window is None else window
+    inside = (lo <= values.real) & (values.real <= hi)
+    real = _split_real(values[inside], vectors[:, inside])
+    # f6 is a unit eigenvector, so fmat below is nonzero and ``normalized``
+    # rejects it only if the back-substitution overflows, far beyond any
+    # window. A draw is therefore valid exactly when some eigenvalue passes
+    # _split_real, and those outside the window need no model to decide it.
+    if not real and not _split_real(values[~inside], vectors[:, ~inside]):
+        raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates = []
-    for beta, f6, leak in _split_real(values, vectors):
+    for beta, f6, leak in real:
         rhs = -(m1[:, :6] + beta * m2[:, :6]) @ f6
         f3, *_ = np.linalg.lstsq(b3, rhs, rcond=None)
         fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
@@ -210,8 +280,6 @@ def solve_gep_f_beta(corr: CorrSet) -> list[SolverCandidate]:
         candidates.append(
             SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
         )
-    if not candidates:
-        raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates.sort(key=lambda c: c.algebraic_residual)
     return candidates
 

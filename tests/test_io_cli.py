@@ -1,10 +1,14 @@
 """Trajectory CSV / report JSON serialization and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import camsync
 from camsync import (
     ImageSample,
     SceneSpec,
@@ -178,6 +182,18 @@ class TestCliSynth:
         assert rc == EXIT_INPUT
 
 
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(camsync.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "camsync", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: camsync ")
+    assert "{sync,synth,sweep}" in proc.stdout
+
+
 class TestCliSync:
     def test_single_shot_recovers_shift(self, tmp_path, capsys):
         path = _make_scene_csv(tmp_path / "scene.csv", beta=2.0)
@@ -283,6 +299,9 @@ class TestCliSync:
             (["--beta-max", "nan"], "beta_max must be non-negative"),
             (["--max-iterations", "0"], "max_iterations must be >= 1"),
             (["--max-iterations", "-5"], "max_iterations must be >= 1"),
+            (["--single-shot", "--seed", "-1"], "seed must be in [0, 2**64 - 1]"),
+            (["--seed", "-1"], "seed must be in [0, 2**64 - 1]"),
+            (["--single-shot", "--seed", str(2**64)], "seed must be in [0, 2**64 - 1]"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):

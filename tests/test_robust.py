@@ -221,6 +221,13 @@ class TestRansacParams:
             with pytest.raises(ValueError, match="rho"):
                 RansacParams(rho=bad)
 
+    def test_seed_range(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                RansacParams(seed=bad)
+        for good in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert RansacParams(seed=good).seed == good
+
     def test_beta_window_default_tracks_d(self):
         assert RansacParams(d=1).beta_window == 10.0
         assert RansacParams(d=-4).beta_window == 40.0
@@ -298,6 +305,31 @@ class TestRansacEstimate:
         ]
         with pytest.raises(NotEnoughCorrespondences):
             ransac_estimate(short1, t2, KIND_F_GEP, RansacParams())
+
+    def test_gep_window_changes_nothing(self, monkeypatch):
+        import camsync.robust as robust_mod
+
+        t1, t2, _ = noisy_scene(seed=5, beta_gt=3.0)
+        (t1o, t2o), _ = inject_outliers(t1, t2, 0.3, seed=99)
+        params = RansacParams(seed=3, threshold=3.0, max_iterations=300, d=4, beta_max=6.0)
+        solve = robust_mod.solve_gep_f_beta
+        empty = []
+
+        def windowed(sub, window):
+            cands = solve(sub, window)
+            empty.append(cands == [])
+            return cands
+
+        monkeypatch.setattr(robust_mod, "solve_gep_f_beta", windowed)
+        a = ransac_estimate(t1o, t2o, KIND_F_GEP, params)
+        # some valid draws had every shift outside the window
+        assert any(empty)
+        monkeypatch.setattr(robust_mod, "solve_gep_f_beta", lambda sub, window: solve(sub))
+        b = ransac_estimate(t1o, t2o, KIND_F_GEP, params)
+        assert np.float64(a.best.beta).tobytes() == np.float64(b.best.beta).tobytes()
+        assert a.best.model.m.tobytes() == b.best.model.m.tobytes()
+        assert np.array_equal(a.inlier_mask, b.inlier_mask)
+        assert a.iterations_run == b.iterations_run
 
     def test_shift_outside_window_not_found(self):
         # true shift 8 but the window is capped at 2 frames around beta0=0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from camsync.robust import build_correspondences
 from camsync import solvers
 from camsync.solvers import (
     CorrSet,
+    _ggev,
     _minor_nullvector,
     _normalize_corr,
     _stacked_minor_nullvectors,
@@ -69,6 +71,15 @@ def best_beta_match(cands, beta_gt):
     return min(cands, key=lambda c: abs(c.beta - beta_gt))
 
 
+def random_corrset(rng):
+    """Nine correspondences with uniform random points and tangents."""
+    return CorrSet(
+        s1=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
+        u=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
+        v=np.column_stack([rng.uniform(-10, 10, (9, 2)), np.zeros(9)]),
+    )
+
+
 class TestGepFBeta:
     def test_synchronized_exact_data(self):
         corr, gt = exact_corr(seed=0, beta_gt=0.0, d=1, n_pick=9)
@@ -88,11 +99,7 @@ class TestGepFBeta:
     def test_candidate_count_bounded_by_six(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            corr = CorrSet(
-                s1=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-                u=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-                v=np.column_stack([rng.uniform(-10, 10, (9, 2)), np.zeros(9)]),
-            )
+            corr = random_corrset(rng)
             try:
                 cands = solve_gep_f_beta(corr)
             except (DegenerateInput, NoRealSolution):
@@ -101,21 +108,13 @@ class TestGepFBeta:
 
     def test_second_pencil_matrix_rank_six(self):
         rng = np.random.default_rng(3)
-        corr = CorrSet(
-            s1=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-            u=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-            v=np.column_stack([rng.uniform(-10, 10, (9, 2)), np.zeros(9)]),
-        )
+        corr = random_corrset(rng)
         _, m2 = build_f_pencil(corr)
         assert np.linalg.matrix_rank(m2, tol=1e-8) == 6
 
     def test_raw_pencil_has_three_infinite_eigenvalues(self):
         rng = np.random.default_rng(4)
-        corr = CorrSet(
-            s1=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-            u=np.column_stack([rng.uniform(0, 1000, (9, 2)), np.ones(9)]),
-            v=np.column_stack([rng.uniform(-10, 10, (9, 2)), np.zeros(9)]),
-        )
+        corr = random_corrset(rng)
         vals = raw_pencil_eigenvalues(corr)
         n_inf = np.sum(~np.isfinite(vals))
         assert n_inf >= 3
@@ -144,6 +143,114 @@ class TestGepFBeta:
         b0 = best_beta_match(solve_gep_f_beta(sub), 3.0).beta
         b1 = best_beta_match(solve_gep_f_beta(moved), 3.0).beta
         assert abs(b0 - b1) < 1e-9
+
+
+def candidate_bytes(cands):
+    return [
+        (np.float64(c.beta).tobytes(), c.model.m.tobytes(),
+         np.float64(c.algebraic_residual).tobytes(), np.float64(c.imag_leak).tobytes())
+        for c in cands
+    ]
+
+
+def pencil(seed, case):
+    """A random 6x6 pencil (a, b) whose eigenvalues are of the given case."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(6, 6))
+    if case == "real":
+        x = rng.normal(size=(6, 6))
+        a = b @ x @ np.diag(rng.uniform(-50, 50, 6)) @ np.linalg.inv(x)
+    elif case == "complex":
+        a = rng.normal(size=(6, 6))
+    else:  # singular b: rank 4, so two eigenvalues are infinite
+        b[:, 4:] = b[:, :2] @ rng.normal(size=(2, 2))
+        a = rng.normal(size=(6, 6))
+    return a, b
+
+
+class TestDirectGgev:
+    @pytest.mark.parametrize("case", ["real", "complex", "singular-b"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_scipy_eig(self, case, seed):
+        a, b = pencil(seed, case)
+        w_ref, v_ref = scipy.linalg.eig(a, b)
+        w, v = _ggev(a, b)
+        assert (w.dtype, v.dtype) == (w_ref.dtype, v_ref.dtype)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        # each case is what its name says
+        if case == "real":
+            assert v.dtype == np.float64 and np.all(w.imag == 0)
+        elif case == "complex":
+            assert np.any(w.imag != 0)
+        else:
+            assert np.any(np.isinf(w))
+
+    def test_gep_draws_bit_identical_to_scipy_eig(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        subs = [random_corrset(rng) for _ in range(40)]
+
+        def outcomes():
+            out = []
+            for sub in subs:
+                try:
+                    out.append(candidate_bytes(solve_gep_f_beta(sub)))
+                except (DegenerateInput, NoRealSolution) as exc:
+                    out.append(type(exc).__name__)
+            return out
+
+        direct = outcomes()
+        monkeypatch.setattr(solvers, "_ggev", scipy.linalg.eig)
+        assert outcomes() == direct
+
+    @pytest.mark.parametrize("field", ["s1", "u", "v"])
+    def test_nan_entry_is_degenerate_input(self, field):
+        corr = random_corrset(np.random.default_rng(21))
+        getattr(corr, field)[4, 1] = np.nan
+        with pytest.raises(DegenerateInput):
+            solve_gep_f_beta(corr)
+        with pytest.raises(DegenerateInput):
+            solve_gep_f_beta(corr, (-10.0, 10.0))
+
+
+@st.composite
+def gep_draw_and_window(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corr = random_corrset(rng)
+    center = draw(st.floats(-200, 200))
+    half = draw(st.floats(0, 300))
+    return corr, (center - half, center + half), draw(st.booleans())
+
+
+class TestGepWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(gep_draw_and_window())
+    def test_window_returns_in_window_subsequence(self, case):
+        corr, window, snap = case
+        try:
+            full = solve_gep_f_beta(corr)
+        except (DegenerateInput, NoRealSolution) as exc:
+            with pytest.raises(type(exc)):
+                solve_gep_f_beta(corr, window)
+            return
+        if snap and full:
+            # window edges exactly on candidate shifts: both ends are inclusive
+            betas = sorted(c.beta for c in full)
+            window = (betas[0], betas[len(betas) // 2])
+        lo, hi = window
+        inside = [c for c in full if lo <= c.beta <= hi]
+        assert candidate_bytes(solve_gep_f_beta(corr, window)) == candidate_bytes(inside)
+
+    @pytest.mark.parametrize("window", [None, (-1e9, 1e9), (0.0, 1.0)])
+    def test_no_real_eigenvalue_raises_with_or_without_window(self, window):
+        corr = random_corrset(np.random.default_rng(114))
+        with pytest.raises(NoRealSolution):
+            solve_gep_f_beta(corr, window)
+
+    def test_valid_draw_with_no_shift_in_window_returns_empty(self):
+        corr, _ = exact_corr(seed=1, beta_gt=3.0, d=1, n_pick=9)
+        betas = [c.beta for c in solve_gep_f_beta(corr)]
+        assert solve_gep_f_beta(corr, (max(betas) + 1.0, max(betas) + 2.0)) == []
 
 
 class TestMinFBeta:
