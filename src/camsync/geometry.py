@@ -10,7 +10,7 @@ is ``u + beta * v``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,35 +42,49 @@ class ImageSample:
         return np.array([self.u, self.v])
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Track of one moving point in one camera, frames strictly increasing.
+    """Track of one moving point in one camera.
 
-    ``frames`` (n,) and ``points`` (n, 2) hold the samples as arrays. Frame
-    lookups are binary searches over ``frames``, so memory stays proportional
-    to the sample count however far apart the frames lie.
+    ``frames`` (n,) int64, nonnegative and strictly increasing, and ``points``
+    (n, 2) finite float64 hold the samples as read-only copies of the input.
+    Frame lookups are binary searches over ``frames``, so memory stays
+    proportional to the sample count however far apart the frames lie.
     """
 
     camera_id: str
     track_id: str
-    samples: tuple[ImageSample, ...]
-    frames: np.ndarray = field(init=False, repr=False, compare=False)
-    points: np.ndarray = field(init=False, repr=False, compare=False)
+    frames: np.ndarray
+    points: np.ndarray
 
     def __post_init__(self):
-        self.samples = tuple(self.samples)
-        self.frames = np.array([s.frame for s in self.samples], dtype=np.int64)
-        if np.any(np.diff(self.frames) <= 0):
-            raise ValueError(
-                f"trajectory {self.camera_id}/{self.track_id}: "
-                "frames must be strictly increasing"
-            )
-        self.points = np.empty((len(self.samples), 2))
-        self.points[:, 0] = [s.u for s in self.samples]
-        self.points[:, 1] = [s.v for s in self.samples]
+        name = f"trajectory {self.camera_id}/{self.track_id}"
+        frames = np.array(self.frames, dtype=np.int64)
+        points = np.array(self.points, dtype=np.float64)
+        if frames.ndim != 1 or points.shape != (len(frames), 2):
+            raise ValueError(f"{name}: frames must have shape (n,) and points (n, 2)")
+        if np.any(frames[:1] < 0) or np.any(np.diff(frames) <= 0):
+            raise ValueError(f"{name}: frames must be nonnegative and strictly increasing")
+        if not np.isfinite(points).all():
+            raise ValueError(f"{name}: sample coordinates must be finite")
+        frames.flags.writeable = points.flags.writeable = False
+        self.frames, self.points = frames, points
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Trajectory)
+            and (self.camera_id, self.track_id) == (other.camera_id, other.track_id)
+            and np.array_equal(self.frames, other.frames)
+            and np.array_equal(self.points, other.points)
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.frames)
+
+    @property
+    def samples(self) -> tuple[ImageSample, ...]:
+        """The samples as ``ImageSample`` objects, built on each access."""
+        return tuple(map(ImageSample, self.frames.tolist(), *self.points.T.tolist()))
 
     def runs(self, first: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Locate the frame runs ``first .. first + length`` (length >= 0).
@@ -87,26 +101,6 @@ class Trajectory:
         last = idx + length
         ok = (last < n) & (self.frames[np.minimum(last, n - 1)] == first + length)
         return idx, ok
-
-    def _run(self, first: int, length: int) -> int | None:
-        idx, ok = self.runs(np.array([first], dtype=np.int64), length)
-        return int(idx[0]) if ok[0] else None
-
-    def has_frame(self, frame: int) -> bool:
-        return self._run(frame, 0) is not None
-
-    def sample_at(self, frame: int) -> ImageSample:
-        i = self._run(frame, 0)
-        if i is None:
-            raise MissingFrame(
-                f"frame {frame} not in trajectory {self.camera_id}/{self.track_id}"
-            )
-        return self.samples[i]
-
-    def contiguous(self, frame_a: int, frame_b: int) -> bool:
-        """True when every integer frame between a and b (inclusive) is present."""
-        lo, hi = min(frame_a, frame_b), max(frame_a, frame_b)
-        return self._run(lo, hi - lo) is not None
 
 
 @dataclass(frozen=True)
@@ -147,17 +141,18 @@ def linearize(
         raise ValueError("interpolation distance d must be nonzero")
     target = beta0 + rho * i
     j0 = math.floor(target)
-    if not (traj2.has_frame(j0) and traj2.has_frame(j0 + d)):
+    idx, present = traj2.runs(np.array([j0, j0 + d], dtype=np.int64), 0)
+    if not present.all():
         raise MissingFrame(
             f"frames {j0} and {j0 + d} required in camera-2 track "
             f"{traj2.track_id} (i={i}, beta0={beta0}, rho={rho})"
         )
-    if not traj2.contiguous(j0, j0 + d):
+    # frames strictly increase: d frames apart are d samples apart iff no gap
+    if idx[1] - idx[0] != d:
         raise MissingFrame(
             f"gap between frames {j0} and {j0 + d} in camera-2 track {traj2.track_id}"
         )
-    p0 = traj2.sample_at(j0).xy()
-    p1 = traj2.sample_at(j0 + d).xy()
+    p0, p1 = traj2.points[idx]
     v = (p1 - p0) / d
     u = p0 + (target - j0) * v - beta0 * v
     return LinearizedCorrespondence(u_vec=u, v_vec=v, j0=j0, d=d)

@@ -23,13 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import UnreachableSpeed
-from .geometry import (
-    FUNDAMENTAL,
-    HOMOGRAPHY,
-    ImageSample,
-    Trajectory,
-    TwoViewModel,
-)
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, Trajectory, TwoViewModel
 from .pose import CameraCalib, fundamental_from_calib, relative_pose
 
 SMOOTH_RANDOM = "smooth-random"
@@ -245,8 +239,8 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
         gt.sync_pairs[track] = np.column_stack([pix1, sync2])
         n1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         n2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
-        traj1.append(_make_traj("cam1", track, frames1, pix1 + n1))
-        traj2.append(_make_traj("cam2", track, frames2, pix2 + n2))
+        traj1.append(Trajectory("cam1", track, frames1.astype(np.int64), pix1 + n1))
+        traj2.append(Trajectory("cam2", track, frames2.astype(np.int64), pix2 + n2))
     return traj1, traj2, gt
 
 
@@ -294,17 +288,9 @@ def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
         gt.sync_pairs[f"t{ti}"] = np.column_stack([pix1, sync2])
         noise1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         noise2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
-        traj1.append(_make_traj("cam1", f"t{ti}", frames1, pix1 + noise1))
-        traj2.append(_make_traj("cam2", f"t{ti}", frames2, pix2 + noise2))
+        traj1.append(Trajectory("cam1", f"t{ti}", frames1.astype(np.int64), pix1 + noise1))
+        traj2.append(Trajectory("cam2", f"t{ti}", frames2.astype(np.int64), pix2 + noise2))
     return traj1, traj2, gt
-
-
-def _make_traj(camera_id: str, track_id: str, frames, pix) -> Trajectory:
-    samples = tuple(
-        ImageSample(frame=int(f), u=float(p[0]), v=float(p[1]))
-        for f, p in zip(frames, pix)
-    )
-    return Trajectory(camera_id=camera_id, track_id=track_id, samples=samples)
 
 
 def generate_scene(
@@ -336,32 +322,16 @@ def inject_outliers(
     if not (0.0 <= fraction < 1.0):
         raise ValueError("fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    flat = [(ti, si) for ti, t in enumerate(traj1) for si in range(len(t))]
-    n_out = int(len(flat) * fraction)
-    chosen = set()
+    sizes = [len(t) for t in traj1]
+    n_out = int(sum(sizes) * fraction)
+    replaced = np.zeros(sum(sizes), dtype=bool)
     if n_out:
-        picks = rng.choice(len(flat), size=n_out, replace=False)
-        chosen = {flat[int(p)] for p in picks}
-    w, h = image_size
-    new1 = []
-    labels: dict[str, np.ndarray] = {}
-    for ti, t in enumerate(traj1):
-        lab = np.zeros(len(t), dtype=bool)
-        samples = []
-        for si, s in enumerate(t.samples):
-            if (ti, si) in chosen:
-                lab[si] = True
-                samples.append(
-                    ImageSample(
-                        frame=s.frame,
-                        u=float(rng.uniform(0, w)),
-                        v=float(rng.uniform(0, h)),
-                    )
-                )
-            else:
-                samples.append(s)
-        new1.append(
-            Trajectory(camera_id=t.camera_id, track_id=t.track_id, samples=tuple(samples))
-        )
-        labels[t.track_id] = lab
+        replaced[rng.choice(sum(sizes), size=n_out, replace=False)] = True
+    points = np.concatenate([np.zeros((0, 2)), *(t.points for t in traj1)])
+    # a draw for u, then one for v, per replaced sample in order
+    points[replaced] = rng.uniform(0, image_size, size=(n_out, 2))
+    cuts = np.cumsum(sizes)[:-1]
+    new1 = [Trajectory(t.camera_id, t.track_id, t.frames, pts)
+            for t, pts in zip(traj1, np.split(points, cuts))]
+    labels = {t.track_id: lab for t, lab in zip(traj1, np.split(replaced, cuts))}
     return (new1, traj2), labels

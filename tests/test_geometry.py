@@ -25,11 +25,9 @@ def line_trajectory(a, w, n=30, camera_id="cam2", track_id="t0"):
     """Exact constant-velocity image track s_j = a + j * w."""
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    samples = tuple(
-        ImageSample(frame=j, u=float(a[0] + j * w[0]), v=float(a[1] + j * w[1]))
-        for j in range(n)
-    )
-    return Trajectory(camera_id=camera_id, track_id=track_id, samples=samples)
+    frames = np.arange(n)
+    points = [(float(a[0] + j * w[0]), float(a[1] + j * w[1])) for j in range(n)]
+    return Trajectory(camera_id, track_id, frames, points)
 
 
 class TestImageSampleAndTrajectory:
@@ -49,21 +47,48 @@ class TestImageSampleAndTrajectory:
             ImageSample(frame=-1, u=0.0, v=0.0)
 
     def test_frames_strictly_increasing(self):
-        good = (ImageSample(0, 0.0, 0.0), ImageSample(2, 1.0, 1.0))
-        Trajectory(camera_id="c", track_id="t", samples=good)
-        bad = (ImageSample(2, 0.0, 0.0), ImageSample(2, 1.0, 1.0))
+        good = [[0.0, 0.0], [1.0, 1.0]]
+        Trajectory(camera_id="c", track_id="t", frames=[0, 2], points=good)
         with pytest.raises(ValueError):
-            Trajectory(camera_id="c", track_id="t", samples=bad)
+            Trajectory(camera_id="c", track_id="t", frames=[2, 2], points=good)
+
+    def test_trajectory_holds_read_only_copies(self):
+        frames, points = np.array([0, 2**63 - 1]), np.array([[0.0, 1.0], [-0.0, 3.0]])
+        t = Trajectory("c", "t", frames, points)
+        assert t.frames.dtype == np.int64 and t.points.dtype == np.float64
+        assert not t.frames.flags.writeable and not t.points.flags.writeable
+        frames[0], points[0, 0] = 5, 9.0
+        assert t.frames.tolist() == [0, 2**63 - 1] and t.points[0, 0] == 0.0
+        assert t.samples == (ImageSample(0, 0.0, 1.0), ImageSample(2**63 - 1, -0.0, 3.0))
+        assert len(t) == 2
+        assert t == Trajectory("c", "t", [0, 2**63 - 1], [(0.0, 1.0), (0.0, 3.0)])
+        assert t != Trajectory("c", "t", [0, 2**63 - 2], [(0.0, 1.0), (0.0, 3.0)])
+        assert t != Trajectory("c", "u", [0, 2**63 - 1], [(0.0, 1.0), (0.0, 3.0)])
+
+    @pytest.mark.parametrize("frames, points", [
+        ([-1, 0], [(0.0, 0.0), (1.0, 1.0)]),
+        ([1, 0], [(0.0, 0.0), (1.0, 1.0)]),
+        ([0, 1], [(0.0, math.nan), (1.0, 1.0)]),
+        ([0, 1], [(0.0, 0.0), (math.inf, 1.0)]),
+        ([0, 1, 2], [(0.0, 0.0), (1.0, 1.0)]),
+        ([0, 1], [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]),
+        ([[0, 1]], [(0.0, 0.0), (1.0, 1.0)]),
+    ])
+    def test_trajectory_rejects_bad_arrays(self, frames, points):
+        with pytest.raises(ValueError):
+            Trajectory("c", "t", frames, points)
 
     def test_contiguous_never_crosses_gap(self):
-        samples = tuple(
-            ImageSample(f, float(f), 0.0) for f in (0, 1, 2, 5, 6)
-        )
-        t = Trajectory(camera_id="c", track_id="t", samples=samples)
-        assert t.contiguous(0, 2)
-        assert t.contiguous(5, 6)
-        assert not t.contiguous(2, 5)
-        assert not t.contiguous(0, 6)
+        frames = [0, 1, 2, 5, 6]
+        t = Trajectory("c", "t", frames, [(float(f), 0.0) for f in frames])
+
+        def contiguous(a, b):
+            return bool(t.runs(np.array([a]), b - a)[1][0])
+
+        assert contiguous(0, 2)
+        assert contiguous(5, 6)
+        assert not contiguous(2, 5)
+        assert not contiguous(0, 6)
 
 
 class TestLinearize:
@@ -108,12 +133,14 @@ class TestLinearize:
             linearize(traj, i=9, beta0=0.0, rho=1.0, d=1)
 
     def test_missing_frame_in_gap(self):
-        samples = tuple(
-            ImageSample(f, float(f), 0.0) for f in (0, 1, 2, 5, 6, 7)
-        )
-        traj = Trajectory(camera_id="c", track_id="t", samples=samples)
+        frames = [0, 1, 2, 5, 6, 7]
+        traj = Trajectory("c", "t", frames, [(float(f), 0.0) for f in frames])
         with pytest.raises(MissingFrame):
             linearize(traj, i=2, beta0=0.0, rho=1.0, d=1)
+        # both secant ends present, frames between them missing
+        for i, d in ((2, 4), (6, -4), (1, 5)):
+            with pytest.raises(MissingFrame, match="gap between"):
+                linearize(traj, i=i, beta0=0.0, rho=1.0, d=d)
 
     def test_d_zero_rejected(self):
         traj = line_trajectory([0, 0], [1, 1])

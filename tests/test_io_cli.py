@@ -10,7 +10,6 @@ import pytest
 
 import camsync
 from camsync import (
-    ImageSample,
     SceneSpec,
     Trajectory,
     TrajectoryFormatError,
@@ -40,14 +39,14 @@ def sample_trajectories():
     t_a = Trajectory(
         camera_id="cam1",
         track_id="t0",
-        samples=tuple(
-            ImageSample(frame=i, u=float(x), v=float(-x)) for i, x in enumerate(awkward)
-        ),
+        frames=range(len(awkward)),
+        points=[(float(x), float(-x)) for x in awkward],
     )
     t_b = Trajectory(
         camera_id="cam2",
         track_id="t0",
-        samples=tuple(ImageSample(frame=i, u=1.5 * i, v=2.5) for i in range(4)),
+        frames=range(4),
+        points=[(1.5 * i, 2.5) for i in range(4)],
     )
     return [t_a, t_b]
 
@@ -256,7 +255,7 @@ class TestCliSync:
         # the offsets the loop accepts near beta = 50
         t2 = [
             Trajectory(t.camera_id, t.track_id,
-                       tuple(s for s in t.samples if s.frame >= 60))
+                       t.frames[t.frames >= 60], t.points[t.frames >= 60])
             for t in t2
         ]
         path = tmp_path / "scene.csv"

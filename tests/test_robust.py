@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsync import (
-    ImageSample,
     MissingFrame,
     NotEnoughCorrespondences,
     RansacParams,
@@ -91,8 +90,7 @@ def holey_track(draw, camera_id, track_id):
     frames = [f for f in range(start, start + length) if f not in holes]
     points = draw(st.lists(st.tuples(COORD, COORD), min_size=len(frames),
                            max_size=len(frames)))
-    samples = tuple(ImageSample(f, u, v) for f, (u, v) in zip(frames, points))
-    return Trajectory(camera_id=camera_id, track_id=track_id, samples=samples)
+    return Trajectory(camera_id, track_id, frames, np.reshape(points, (-1, 2)))
 
 
 @st.composite
@@ -141,13 +139,12 @@ class TestBuildCorrespondences:
 
     def test_boundary_frames_dropped(self):
         # forward interpolation cannot use the last d camera-2 frames
-        from camsync import ImageSample, Trajectory
+        from camsync import Trajectory
 
         def line(cam):
-            samples = tuple(
-                ImageSample(frame=j, u=float(j), v=2.0 * j) for j in range(20)
-            )
-            return [Trajectory(camera_id=cam, track_id="t0", samples=samples)]
+            points = [(float(j), 2.0 * j) for j in range(20)]
+            return [Trajectory(camera_id=cam, track_id="t0", frames=range(20),
+                               points=points)]
 
         c1, _ = build_correspondences(line("a"), line("b"), 0.0, 1.0, 1)
         c4, _ = build_correspondences(line("a"), line("b"), 0.0, 1.0, 4)
@@ -300,7 +297,8 @@ class TestRansacEstimate:
     def test_too_few_correspondences_rejected(self):
         t1, t2, _ = exact_scene()
         short1 = [
-            type(t)(camera_id=t.camera_id, track_id=t.track_id, samples=t.samples[:1])
+            type(t)(camera_id=t.camera_id, track_id=t.track_id, frames=t.frames[:1],
+                    points=t.points[:1])
             for t in t1[:1]
         ]
         with pytest.raises(NotEnoughCorrespondences):

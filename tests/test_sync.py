@@ -122,7 +122,8 @@ class TestIterativeSync:
     def test_no_shared_tracks_raises(self):
         t1, t2, _ = clean_scene(seed=10, beta_gt=0.0, n_frames=120)
         renamed = [
-            type(t)(camera_id=t.camera_id, track_id=t.track_id + "_x", samples=t.samples)
+            type(t)(camera_id=t.camera_id, track_id=t.track_id + "_x", frames=t.frames,
+                    points=t.points)
             for t in t2
         ]
         with pytest.raises(NotEnoughCorrespondences):

@@ -155,6 +155,25 @@ class TestInjectOutliers:
             assert told.samples == tnew.samples
         assert all(not lab.any() for lab in labels.values())
 
+    @pytest.mark.parametrize("fraction, seed", [(0.1, 6), (0.3, 7), (0.5, 8)])
+    def test_same_draws_as_one_sample_at_a_time(self, fraction, seed):
+        """Reference: one scalar uniform draw for u, then one for v, per
+        replaced sample in track then sample order."""
+        rng = np.random.default_rng(seed)
+        flat = [(ti, si) for ti, t in enumerate(self.t1) for si in range(len(t))]
+        picks = rng.choice(len(flat), size=int(len(flat) * fraction), replace=False)
+        chosen = {flat[int(p)] for p in picks}
+        (new1, _), labels = inject_outliers(self.t1, self.t2, fraction, seed=seed)
+        for ti, (told, tnew) in enumerate(zip(self.t1, new1)):
+            want = told.points.copy()
+            for si in range(len(told)):
+                if (ti, si) in chosen:
+                    want[si] = float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000))
+            assert tnew.points.tobytes() == want.tobytes()
+            assert labels[told.track_id].tolist() == [
+                (ti, si) in chosen for si in range(len(told))
+            ]
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             inject_outliers(self.t1, self.t2, 1.0, seed=4)
