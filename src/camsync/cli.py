@@ -252,13 +252,38 @@ def _pose_errors(model, gt):
     return rotation_error(r, r_gt), translation_error(t, t_gt)
 
 
+def _config_list(config: dict, key: str, kinds: tuple, default: list) -> list:
+    """``config[key]``, a list whose items are all of ``kinds`` (bools excluded)."""
+    value = config.get(key, default)
+    if not isinstance(value, list) or not all(
+        isinstance(x, kinds) and not isinstance(x, bool) for x in value
+    ):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"sweep config {key!r} must be a list of {names}")
+    return value
+
+
+def _config_value(config: dict, key: str, convert, default):
+    """``convert(config[key])``; a value it rejects is a ValueError naming the key."""
+    try:
+        return convert(config.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"sweep config {key!r}: {exc}") from None
+
+
 def run_sweep(config: dict) -> list[dict]:
-    """Execute the experiment grid; returns one row dict per cell."""
-    betas = config.get("betas", [])
-    ds = config.get("ds", [])
-    noises = config.get("noise", [0.5])
-    n_scenes = int(config.get("scenes", 0))
-    algorithms = config.get("algorithms", [])
+    """Execute the experiment grid; returns one row dict per cell.
+
+    A malformed config (not an object, a list setting that is not a list of
+    the right items, a value its setting cannot convert) raises ValueError.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("sweep config must be a JSON object")
+    betas = _config_list(config, "betas", (int, float), [])
+    ds = _config_list(config, "ds", (int,), [])
+    noises = _config_list(config, "noise", (int, float), [0.5])
+    n_scenes = _config_value(config, "scenes", int, 0)
+    algorithms = _config_list(config, "algorithms", (str,), [])
     if not betas or not n_scenes or not algorithms or not (ds or all(
         a in ITER_KINDS for a in algorithms
     )):
@@ -269,18 +294,18 @@ def run_sweep(config: dict) -> list[dict]:
     for a in algorithms:
         if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
-    master = int(config.get("seed", 0))
+    master = _config_value(config, "seed", int, 0)
     motion = config.get("motion", "smooth-random")
-    rho = float(config.get("rho", 1.0))
-    n_frames = int(config.get("n_frames", 100))
-    n_tracks = int(config.get("n_tracks", 2))
-    spacing = float(config.get("waypoint_spacing", 25.0))
-    speed = float(config.get("speed_px_per_frame", 8.0))
-    threshold = float(config.get("threshold", 1.0))
-    max_iters = int(config.get("max_iterations", 500))
-    pmin = int(config.get("pmin", 0))
-    pmax = int(config.get("pmax", 5))
-    kmax = int(config.get("kmax", 20))
+    rho = _config_value(config, "rho", float, 1.0)
+    n_frames = _config_value(config, "n_frames", int, 100)
+    n_tracks = _config_value(config, "n_tracks", int, 2)
+    spacing = _config_value(config, "waypoint_spacing", float, 25.0)
+    speed = _config_value(config, "speed_px_per_frame", float, 8.0)
+    threshold = _config_value(config, "threshold", float, 1.0)
+    max_iters = _config_value(config, "max_iterations", int, 500)
+    pmin = _config_value(config, "pmin", int, 0)
+    pmax = _config_value(config, "pmax", int, 5)
+    kmax = _config_value(config, "kmax", int, 20)
 
     rows = []
     for bi, beta in enumerate(betas):

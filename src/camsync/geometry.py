@@ -168,12 +168,13 @@ class TwoViewModel:
     @classmethod
     def normalized(cls, kind: str, m: np.ndarray) -> "TwoViewModel":
         m = np.asarray(m, dtype=float)
-        n = np.linalg.norm(m)
-        if n == 0 or not np.isfinite(n):
+        flat = m.ravel(order="K")  # np.linalg.norm(m)'s Frobenius norm
+        n = math.sqrt(flat.dot(flat))
+        if n == 0 or not math.isfinite(n):
             raise ValueError("model matrix must be nonzero and finite")
         m = m / n
         flat = m.ravel()
-        if flat[np.argmax(np.abs(flat))] < 0:
+        if flat[np.abs(flat).argmax()] < 0:
             m = -m
         return cls(kind=kind, m=m)
 
@@ -197,19 +198,37 @@ def _to_h(p) -> np.ndarray:
     return p
 
 
+def epipolar_constraint(x2: np.ndarray, f: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """x2_i^T F x1_i per row: ``np.einsum("ij,jk,ik->i", x2, f, x1)``'s bits.
+
+    The einsum adds the nine products (x2_ij F_jk) x1_ik of a row one after
+    another, j-major; so does this, one array addition per product, at about
+    half the einsum's cost. (``np.add.reduce`` over the nine would add them
+    pairwise when there is a single row.) The two differ only in the sign of
+    an exact zero.
+    """
+    terms = f[:, :, None] * x2.T[:, None, :]
+    terms *= x1.T
+    terms = terms.reshape(9, -1)
+    e = terms[0] + terms[1]
+    for term in terms[2:]:
+        e += term
+    return e
+
+
 def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """First-order Sampson distance of x2^T F x1 = 0, vectorized over rows.
 
-    x1, x2: (n, 3) homogeneous points. Returns +inf where the constraint
-    gradient vanishes with a nonzero residual.
+    x1, x2: (n, 3) homogeneous points. Returns 0 where the residual is zero
+    and +inf where the constraint gradient vanishes (or is NaN) with a
+    nonzero residual.
     """
-    e = np.einsum("ij,jk,ik->i", x2, f, x1)
+    e = epipolar_constraint(x2, f, x1)
     l2 = x1 @ f.T  # epipolar lines in image 2
     l1 = x2 @ f  # epipolar lines in image 1
     g2 = l2[:, 0] ** 2 + l2[:, 1] ** 2 + l1[:, 0] ** 2 + l1[:, 1] ** 2
     out = np.full(e.shape, np.inf)
-    ok = g2 > 0
-    out[ok] = np.abs(e[ok]) / np.sqrt(g2[ok])
+    np.divide(np.abs(e), np.sqrt(g2), out=out, where=g2 > 0)
     out[e == 0] = 0.0
     return out
 

@@ -18,23 +18,32 @@ Solvers:
 
 Inputs are conditioned with isotropic (Hartley-style) normalization of each
 image before the eigenproblems are formed; models are denormalized afterwards.
+
+The GEP solver runs inside RANSAC on 9-row arrays, where numpy's per-call
+overhead costs more than the arithmetic. So it calls LAPACK directly:
+``dgeqrf`` and ``dorgqr`` for the compression, ``dggev`` for the pencil and
+``dgelsd`` for the back-substitution. Each call gives the bits of the numpy
+or scipy function it stands for (``np.linalg.qr``, ``scipy.linalg.eig``,
+``np.linalg.lstsq``), as do the normalization's and the residuals' written-out
+reductions; ``tests/reference_kernels.py`` holds those plain forms.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dggev
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dggev, dorgqr
 
 from .errors import DegenerateInput, NoRealSolution
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, epipolar_constraint
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
-RANK_TOL = 1e-10
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -79,18 +88,29 @@ class CorrSet:
 
 
 def normalizing_transform(points: np.ndarray) -> np.ndarray:
-    """Isotropic transform moving the centroid to the origin, mean norm sqrt(2)."""
-    c = points.mean(axis=0)
-    scale = np.linalg.norm(points - c, axis=1).mean()
-    if scale < 1e-12:
+    """Isotropic transform moving the centroid to the origin, mean norm sqrt(2).
+
+    ``points`` is (..., n, 2) and the result (..., 3, 3): one transform per
+    point set. The reductions are the ones ``points.mean(axis=0)`` and
+    ``np.linalg.norm(points - c, axis=1).mean()`` run on each set, called
+    without their wrappers; the bits are the same.
+    """
+    n = points.shape[-2]
+    c = np.add.reduce(points, axis=-2) / n
+    d = points - c[..., None, :]
+    scale = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), axis=-1) / n
+    if (scale < 1e-12).any():
         raise DegenerateInput("coincident points, cannot normalize")
-    s = np.sqrt(2.0) / scale
-    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+    s = _SQRT2 / scale
+    t = np.zeros(points.shape[:-2] + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * c
+    t[..., 2, 2] = 1.0
+    return t
 
 
 def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
-    t1 = normalizing_transform(corr.s1[:, :2])
-    t2 = normalizing_transform(corr.u[:, :2])
+    t1, t2 = normalizing_transform(np.stack([corr.s1[:, :2], corr.u[:, :2]]))
     return (
         CorrSet(corr.s1 @ t1.T, corr.u @ t2.T, corr.v @ t2.T),
         t1,
@@ -120,39 +140,58 @@ def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return rows.reshape(2 * n, 9)
 
 
-def _split_real(values, vectors=None):
-    """Filter near-real finite eigenvalues; returns (beta, vec, imag_leak) triples."""
+def _split_real(values, vectors=None, window=None):
+    """Filter near-real finite eigenvalues; returns (beta, vec, imag_leak) triples.
+
+    With ``window = (lo, hi)`` only values whose real part lies in it, both
+    ends inclusive, are considered.
+
+    With ``vectors`` (one column per value), each kept column is rotated by
+    the conjugate phase of its largest entry; it is dropped if its norm is
+    zero or its imaginary part then exceeds 1e-4 of its norm. The values are
+    tested as Python floats, and each norm is ``sqrt(x.dot(x))`` on the view
+    ``np.linalg.norm`` would take, so the bits are those of the numpy forms.
+    """
+    lo, hi = (-math.inf, math.inf) if window is None else window
     out = []
-    for i, lam in enumerate(np.atleast_1d(values)):
-        if not np.isfinite(lam):
+    for i, lam in enumerate(np.atleast_1d(values).tolist()):
+        beta, leak = lam.real, abs(lam.imag)
+        if not (lo <= beta <= hi and math.isfinite(beta) and math.isfinite(leak)):
             continue
-        if abs(lam.imag) > IMAG_TOL * (1.0 + abs(lam.real)):
+        if leak > IMAG_TOL * (1.0 + abs(beta)):
             continue
         vec = None
-        leak = abs(lam.imag)
         if vectors is not None:
             vraw = vectors[:, i]
             # rotate the global phase away before measuring the imaginary leak
-            phase = vraw[np.argmax(np.abs(vraw))]
+            phase = vraw[np.abs(vraw).argmax()]
             if abs(phase) > 0:
-                vraw = vraw * (np.conj(phase) / abs(phase))
-            nrm = np.linalg.norm(vraw)
-            if nrm == 0:
-                continue
-            leak = max(leak, float(np.linalg.norm(vraw.imag) / nrm))
-            if leak > 1e-4:
-                continue
+                vraw = vraw * (phase.conjugate() / abs(phase))
             vec = vraw.real
-        out.append((float(lam.real), vec, leak))
+            if vraw.dtype.kind == "c":
+                im = vraw.imag
+                nrm = math.sqrt(vec.dot(vec) + im.dot(im))
+                if nrm == 0:
+                    continue
+                im = im.copy()  # np.linalg.norm ravels the strided view into a copy
+                leak = max(leak, math.sqrt(im.dot(im)) / nrm)
+                if leak > 1e-4:
+                    continue
+            elif vec.dot(vec) == 0:
+                continue
+        out.append((beta, vec, leak))
     return out
 
 
 def _f_residual(corr: CorrSet, beta: float, f: np.ndarray) -> float:
     """Max normalized epipolar residual |(u + beta v)^T F s| over the set."""
     a = corr.u + beta * corr.v
-    num = np.abs(np.einsum("ij,jk,ik->i", a, f, corr.s1))
-    den = np.linalg.norm(a, axis=1) * np.linalg.norm(corr.s1, axis=1)
-    return float(np.max(num / np.maximum(den, 1e-12)))
+    num = np.abs(epipolar_constraint(a, f, corr.s1))
+    # np.linalg.norm(x, axis=1)'s reduction
+    den = np.sqrt(np.add.reduce(a * a, axis=1)) * np.sqrt(
+        np.add.reduce(corr.s1 * corr.s1, axis=1)
+    )
+    return float((num / np.maximum(den, 1e-12)).max())
 
 
 def _h_residual(corr: CorrSet, beta: float, h: np.ndarray) -> float:
@@ -192,9 +231,10 @@ def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.linalg.eig(a, b)`` for real square a, b, bit for bit.
 
     One ``dggev`` call with a cached workspace size, then scipy's own
-    post-processing: ``alpha / beta`` with inf for beta = 0 and nan for
-    0 / 0, complex-pair eigenvectors assembled from the real and imaginary
-    columns, and each column divided by its BLAS ``nrm2``. Skips scipy's
+    post-processing: ``alpha / beta`` as a complex division, with scipy's
+    masks for inf at beta = 0 and nan at 0 / 0 applied only when some beta
+    is 0; complex-pair eigenvectors assembled from the real and imaginary
+    columns; each column divided by its BLAS ``nrm2``. Skips scipy's
     argument validation and its per-call workspace query. Non-finite input
     and LAPACK failures raise ``DegenerateInput``.
     """
@@ -204,29 +244,69 @@ def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if info != 0:
         raise DegenerateInput(f"GEP failed: dggev info={info}")
     alpha = alphar + 1j * alphai
-    w = np.empty_like(alpha)
-    alpha_zero = alpha == 0
-    beta_zero = beta == 0
-    w[~beta_zero] = alpha[~beta_zero] / beta[~beta_zero]
-    w[~alpha_zero & beta_zero] = np.inf
-    if np.all(alpha.imag == 0):
-        w[alpha_zero & beta_zero] = np.nan
+    if beta.all():
+        w = alpha / beta
     else:
-        w[alpha_zero & beta_zero] = complex(np.nan, np.nan)
-    if not np.all(w.imag == 0.0):
+        w = np.empty_like(alpha)
+        alpha_zero = alpha == 0
+        beta_zero = beta == 0
+        w[~beta_zero] = alpha[~beta_zero] / beta[~beta_zero]
+        w[~alpha_zero & beta_zero] = np.inf
+        if np.all(alpha.imag == 0):
+            w[alpha_zero & beta_zero] = np.nan
+        else:
+            w[alpha_zero & beta_zero] = complex(np.nan, np.nan)
+    wi = w.imag.tolist()
+    if any(wi):
         v = np.array(vr, dtype=w.dtype)
-        pair = w.imag > 0
-        pair[:-1] |= w.imag[1:] < 0
-        for i in np.flatnonzero(pair):
-            v.imag[:, i] = vr[:, i + 1]
-            np.conj(v[:, i], v[:, i + 1])
+        n = len(wi)
+        for i in range(n):
+            if wi[i] > 0 or (i + 1 < n and wi[i + 1] < 0):
+                v.imag[:, i] = vr[:, i + 1]
+                np.conj(v[:, i], v[:, i + 1])
         vr = v
     if not np.isfinite(vr).all():  # scipy's norm rejects it
         raise DegenerateInput("GEP failed: non-finite eigenvectors")
     nrm2 = _NRM2[vr.dtype.type]
-    for i in range(vr.shape[1]):
-        vr[:, i] /= nrm2(vr[:, i])
+    vr /= [nrm2(col) for col in vr.T]
     return w, vr
+
+
+@functools.cache
+def _gelsd_args(m: int, n: int) -> tuple[int, int, float]:
+    """dgelsd's workspace sizes for one right-hand side and numpy's rcond."""
+    rcond = float(np.finfo(float).eps * max(m, n))
+    work, iwork, _ = dgelsd_lwork(m, n, 1, rcond)
+    return int(work), int(iwork), rcond
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a 1-D b, bit for bit.
+
+    One direct ``dgelsd`` call with numpy's default rcond and cached
+    workspace sizes.
+    """
+    n = a.shape[1]
+    x, _, _, info = dgelsd(a, b[:, None], *_gelsd_args(*a.shape))
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:n, 0]
+
+
+def _complete_q(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(a, mode="complete")[0]`` for a tall a, bit for bit.
+
+    ``dgeqrf`` then ``dorgqr`` on the m x m matrix that holds the reflectors
+    in its first columns, as numpy does; returned in numpy's C order.
+    """
+    m, n = a.shape
+    qr, tau, _, info = dgeqrf(a)
+    full = np.empty((m, m), order="F")
+    full[:, :n] = qr
+    q, _, info2 = dorgqr(full, tau, overwrite_a=1)
+    if info or info2:
+        raise np.linalg.LinAlgError("QR factorization failed")
+    return np.ascontiguousarray(q)
 
 
 def solve_gep_f_beta(
@@ -250,26 +330,23 @@ def solve_gep_f_beta(
     m1, m2 = build_f_pencil(ncorr)
     # columns 6..8 (third row of F) carry no beta term
     b3 = m1[:, 6:9]
-    q, _ = np.linalg.qr(b3, mode="complete")
-    q2 = q[:, 3:]
+    q2 = _complete_q(b3)[:, 3:]
     a6 = q2.T @ m1[:, :6]
     c6 = q2.T @ m2[:, :6]
     values, vectors = _ggev(a6, -c6)
-    if not np.any(np.isfinite(values)):
+    if not np.isfinite(values).any():
         raise DegenerateInput("pencil is singular for all beta")
-    lo, hi = (-np.inf, np.inf) if window is None else window
-    inside = (lo <= values.real) & (values.real <= hi)
-    real = _split_real(values[inside], vectors[:, inside])
+    real = _split_real(values, vectors, window)
     # f6 is a unit eigenvector, so fmat below is nonzero and ``normalized``
     # rejects it only if the back-substitution overflows, far beyond any
     # window. A draw is therefore valid exactly when some eigenvalue passes
     # _split_real, and those outside the window need no model to decide it.
-    if not real and not _split_real(values[~inside], vectors[:, ~inside]):
+    if not real and not _split_real(values, vectors):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates = []
     for beta, f6, leak in real:
         rhs = -(m1[:, :6] + beta * m2[:, :6]) @ f6
-        f3, *_ = np.linalg.lstsq(b3, rhs, rcond=None)
+        f3 = _lstsq(b3, rhs)
         fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
         fmat = t2.T @ fmat_n @ t1
         try:

@@ -18,7 +18,15 @@ from camsync import (
     linearize,
     model_distance,
 )
-from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY, sampson_distances
+from camsync.geometry import (
+    FUNDAMENTAL,
+    HOMOGRAPHY,
+    epipolar_constraint,
+    sampson_distances,
+)
+from camsync.solvers import CorrSet, _f_residual
+
+import reference_kernels as ref
 
 
 def line_trajectory(a, w, n=30, camera_id="cam2", track_id="t0"):
@@ -212,6 +220,56 @@ class TestEpipolarResidual:
             assert vec[k] == pytest.approx(_sampson_by_hand(f, x1[k], x2[k]), abs=1e-9)
 
 
+@st.composite
+def epipolar_rows(draw):
+    """F, x1, x2 and the rows made to give g2 = NaN.
+
+    Rows can be zeroed in one image (a zero residual) or get a NaN
+    coordinate (a NaN gradient); an F with only F33 nonzero gives g2 = 0
+    with a nonzero residual. Coordinates and F span 1e-3 to 1e3 in scale.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    x1, x2 = (
+        np.column_stack([rng.uniform(-500, 500, (n, 2)) * 10.0 ** draw(st.floats(-3, 3)),
+                         np.ones(n)])
+        for _ in range(2)
+    )
+    f = rng.normal(size=(3, 3)) * 10.0 ** draw(st.floats(-3, 3))
+    if draw(st.booleans()):
+        f[:2] = 0.0
+        f[2, :2] = 0.0
+    kinds = draw(st.lists(st.sampled_from(["plain", "zero1", "zero2", "nan"]),
+                          min_size=n, max_size=n))
+    nan_rows = np.array([k == "nan" for k in kinds])
+    for row, kind in enumerate(kinds):
+        if kind == "zero1":
+            x1[row] = 0.0
+        elif kind == "zero2":
+            x2[row] = 0.0
+        elif kind == "nan":
+            x1[row, int(rng.integers(2))] = np.nan
+    return f, x1, x2, nan_rows
+
+
+class TestEpipolarReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(epipolar_rows(), st.floats(-30, 30))
+    def test_bit_identical_to_einsum(self, case, beta):
+        f, x1, x2, nan_rows = case
+        want_e = np.einsum("ij,jk,ik->i", x2, f, x1)
+        e = epipolar_constraint(x2, f, x1)
+        assert np.array_equal(e, want_e, equal_nan=True)
+        nonzero = want_e != 0
+        assert e[nonzero].tobytes() == want_e[nonzero].tobytes()
+        got = sampson_distances(f, x1, x2)
+        assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
+        assert np.all(got[nan_rows] == np.inf)
+        corr = CorrSet(x1, x2, np.column_stack([x2[:, :2] * 1e-2, np.zeros(len(x2))]))
+        assert (np.float64(_f_residual(corr, beta, f)).tobytes()
+                == np.float64(ref.f_residual(corr, beta, f)).tobytes())
+
+
 class TestHomographyResidual:
     def test_identity_zero(self):
         model = TwoViewModel.normalized(HOMOGRAPHY, np.eye(3))
@@ -255,6 +313,25 @@ class TestTwoViewModel:
         a = TwoViewModel.normalized(FUNDAMENTAL, raw)
         b = TwoViewModel.normalized(FUNDAMENTAL, -4.0 * raw)
         assert model_distance(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-300, 300), st.booleans(),
+           st.sampled_from(["plain", "zero", "nan", "inf"]))
+    def test_normalized_bit_identical_to_linalg_norm(self, seed, log_scale, fortran, kind):
+        m = np.random.default_rng(seed).normal(size=(3, 3)) * 10.0**log_scale
+        if kind != "plain":
+            m[1, 2] = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[kind] * m[1, 2]
+            m = m * (kind != "zero")
+        if fortran:
+            m = np.asfortranarray(m)
+        with np.errstate(over="ignore"):  # the norm's square overflows past 1e154
+            try:
+                want = ref.normalized_model(FUNDAMENTAL, m).m
+            except ValueError:
+                with pytest.raises(ValueError):
+                    TwoViewModel.normalized(FUNDAMENTAL, m)
+                return
+            assert TwoViewModel.normalized(FUNDAMENTAL, m).m.tobytes() == want.tobytes()
 
     def test_rank2_projection(self):
         rng = np.random.default_rng(6)

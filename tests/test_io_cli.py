@@ -390,6 +390,31 @@ class TestCliSweep:
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([], "must be a JSON object"),
+            ({"betas": [1], "scenes": None, "algorithms": ["iter-f"]}, "'scenes'"),
+            ({"betas": 5, "scenes": 1, "algorithms": ["iter-f"]}, "'betas'"),
+            ({"betas": [None], "scenes": 1, "algorithms": ["iter-f"]}, "'betas'"),
+            ({"betas": [1], "scenes": 1, "algorithms": [["f-gep"]], "ds": [1]},
+             "'algorithms'"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["f-gep"], "ds": ["1"]}, "'ds'"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "noise": None},
+             "'noise'"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "kmax": [3]}, "'kmax'"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "rho": "fast"}, "'rho'"),
+        ],
+    )
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep config") and message in err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_rows_deterministic(self):
         cfg = self._config(betas=[1.0])
         assert run_sweep(cfg) == run_sweep(cfg)

@@ -28,7 +28,12 @@ from camsync.robust import (
     count_correspondences,
     score_candidate,
 )
+from camsync import robust
 from camsync.solvers import SolverCandidate, _skew_rows
+from camsync.sync import IterParams, iterative_sync
+from camsync.synth import PLANAR_SMOOTH
+
+import reference_kernels
 
 
 def exact_scene(seed=0, beta_gt=2.0, n_tracks=4, exact_model="F"):
@@ -387,3 +392,65 @@ class TestBaselines:
         t1, t2, _ = exact_scene()
         with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
             ransac_estimate(t1, t2, "bogus", RansacParams())
+
+
+def result_bytes(res):
+    """Everything a RansacResult holds, as bytes or exact values."""
+    best = res.best
+    return (
+        np.float64(best.beta).tobytes(), best.model.kind, best.model.m.tobytes(),
+        np.float64(best.algebraic_residual).tobytes(), np.float64(best.imag_leak).tobytes(),
+        res.inlier_mask.tobytes(), res.inlier_count, res.iterations_run,
+        res.total_correspondences, res.keys,
+    )
+
+
+def sync_bytes(run):
+    return (
+        np.float64(run.beta_total).tobytes(), run.model.m.tobytes(),
+        [(r.k, r.d, r.direction, r.inlier_count, np.float64(r.beta_k).tobytes(),
+          r.accepted, r.j_after, r.skipped_after) for r in run.iterations],
+        run.ransac_calls, run.accepted_steps, run.total_correspondences,
+    )
+
+
+class TestBitIdenticalToReferenceKernels:
+    """robust's solver and scoring bindings patched with the plain numpy forms
+    of ``reference_kernels`` give the bytes the rewritten kernels give."""
+
+    def run_both(self, monkeypatch, run):
+        got = run()
+        with monkeypatch.context() as patched:
+            for name, plain in reference_kernels.ROBUST_BINDINGS.items():
+                patched.setattr(robust, name, plain)
+            want = run()
+        return got, want
+
+    @pytest.mark.parametrize("kind, seed", [
+        (KIND_F_GEP, 0), (KIND_F_GEP, 1), (KIND_F_MIN, 2), (KIND_H_MIN, 3),
+    ])
+    def test_seeded_ransac_estimate(self, monkeypatch, kind, seed):
+        motion = PLANAR_SMOOTH if kind == KIND_H_MIN else "smooth-random"
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=seed, beta_gt=3.0, noise_sigma=0.5, n_tracks=4, n_frames=120,
+            waypoint_spacing=120.0, motion=motion,
+        ))
+        (t1, t2), _ = inject_outliers(t1, t2, 0.3, seed=seed + 777)
+        params = RansacParams(seed=seed, threshold=3.0, max_iterations=120, d=4)
+        got, want = self.run_both(
+            monkeypatch, lambda: ransac_estimate(t1, t2, kind, params)
+        )
+        assert got.iterations_run > 20  # enough draws to compare
+        assert result_bytes(got) == result_bytes(want)
+
+    def test_short_iterative_sync(self, monkeypatch):
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=4, beta_gt=12.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
+            waypoint_spacing=300.0, speed_px_per_frame=4.0,
+        ))
+        params = IterParams(kind=KIND_F_GEP, k_max=8, ransac=RansacParams(
+            seed=4, max_iterations=60, threshold=5.0,
+        ))
+        got, want = self.run_both(monkeypatch, lambda: iterative_sync(t1, t2, params))
+        assert got.accepted_steps >= 2
+        assert sync_bytes(got) == sync_bytes(want)

@@ -1,5 +1,7 @@
 """Minimal solvers: joint geometry + time-shift, and classical baselines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,13 +28,19 @@ from camsync.robust import build_correspondences
 from camsync import solvers
 from camsync.solvers import (
     CorrSet,
+    _complete_q,
     _ggev,
+    _lstsq,
     _minor_nullvector,
     _normalize_corr,
+    _split_real,
     _stacked_minor_nullvectors,
     build_f_pencil,
+    normalizing_transform,
     raw_pencil_eigenvalues,
 )
+
+import reference_kernels as ref
 
 
 def exact_corr(seed, beta_gt, d, n_pick, n_tracks=3, exact_model="F"):
@@ -145,6 +153,58 @@ class TestGepFBeta:
         assert abs(b0 - b1) < 1e-9
 
 
+# solver, sample size, scene model, |beta - beta_gt| and model-distance bounds
+EXACT_SOLVERS = {
+    "f-gep": (solve_gep_f_beta, 9, "F", 1e-7, 1e-6),
+    "f-min": (solve_min_f_beta, 8, "F", 1e-5, 1e-4),
+    "h-min": (solve_min_h_beta, 5, "H", 1e-7, 1e-6),
+}
+
+
+def exact_draw(kind, seed, beta_gt, d):
+    solver, n, model, _, _ = EXACT_SOLVERS[kind]
+    corr, gt = exact_corr(seed=seed, beta_gt=beta_gt, d=d, n_pick=n,
+                          n_tracks=5 if model == "H" else 3, exact_model=model)
+    return corr, gt.f if model == "F" else gt.h
+
+
+class TestExactSceneProperties:
+    """The joint solvers on exact-linear scenes, over seeds, shifts and d."""
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_SOLVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), beta_gt=st.floats(-6, 6), d=st.sampled_from([1, 2, 4]))
+    def test_ground_truth_among_candidates(self, kind, seed, beta_gt, d):
+        solver, _, _, beta_tol, model_tol = EXACT_SOLVERS[kind]
+        corr, model_gt = exact_draw(kind, seed, beta_gt, d)
+        best = best_beta_match(solver(corr), beta_gt)
+        assert abs(best.beta - beta_gt) < beta_tol
+        assert model_distance(best.model, model_gt) < model_tol
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_SOLVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), beta_gt=st.floats(-6, 6), d=st.sampled_from([1, 2, 4]),
+        angle=st.floats(0, 2 * np.pi), log_scale=st.floats(-1, 1),
+        shift=st.tuples(st.floats(-500, 500), st.floats(-500, 500)),
+    )
+    def test_beta_invariant_to_image_similarity(
+        self, kind, seed, beta_gt, d, angle, log_scale, shift
+    ):
+        solver, n, _, beta_tol, _ = EXACT_SOLVERS[kind]
+        corr, _ = exact_draw(kind, seed, beta_gt, d)
+        c, s = np.cos(angle), np.sin(angle)
+        lin = 10.0**log_scale * np.array([[c, -s], [s, c]])
+        moved = CorrSet(
+            s1=np.column_stack([corr.s1[:, :2] @ lin.T + shift, np.ones(n)]),
+            u=np.column_stack([corr.u[:, :2] @ lin.T + shift, np.ones(n)]),
+            v=np.column_stack([corr.v[:, :2] @ lin.T, np.zeros(n)]),
+        )
+        b0 = best_beta_match(solver(corr), beta_gt).beta
+        b1 = best_beta_match(solver(moved), beta_gt).beta
+        assert abs(b1 - b0) < beta_tol
+
+
 def candidate_bytes(cands):
     return [
         (np.float64(c.beta).tobytes(), c.model.m.tobytes(),
@@ -203,6 +263,51 @@ class TestDirectGgev:
         monkeypatch.setattr(solvers, "_ggev", scipy.linalg.eig)
         assert outcomes() == direct
 
+    @pytest.mark.parametrize("zero_alpha", [False, True])
+    @pytest.mark.parametrize("with_pair", [False, True])
+    def test_zero_beta_matches_scipy_eig(self, zero_alpha, with_pair):
+        # block-diagonal pencils keep dggev's beta exactly 0 where b is
+        a, b = np.zeros((6, 6)), np.zeros((6, 6))
+        a[:2, :2] = [[0.5, -2.0], [2.0, 0.5]] if with_pair else np.diag([0.5, -2.0])
+        b[:2, :2] = np.eye(2)
+        a[2:, 2:] = np.diag([1.5, -2.0, 3.0, 0.0 if zero_alpha else 4.0])
+        b[2:, 2:] = np.diag([1.0, 0.0, 2.0, 0.0])
+        w_ref, v_ref = scipy.linalg.eig(a, b)
+        w, v = _ggev(a, b)
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert np.isinf(w).sum() == (1 if zero_alpha else 2)
+        assert np.isnan(w).any() == zero_alpha
+        assert np.any(w.imag != 0) == with_pair
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_post_processing_matches_scipy_on_any_dggev_output(self, data):
+        """Any alphai signs, zero betas and 0 / 0, fed to both post-processings."""
+        n = 6
+        floats = st.floats(-10, 10, allow_subnormal=False)
+        alphar = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
+        alphai = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.5, -1.5, 0.25]),
+                                             min_size=n, max_size=n)))
+        beta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]),
+                                           min_size=n, max_size=n)))
+        vr = np.asfortranarray(np.random.default_rng(data.draw(st.integers(0, 99))).normal(
+            size=(n, n)))
+
+        def fake_dggev(a, b, *args):
+            return alphar.copy(), alphai.copy(), beta.copy(), None, vr.copy(), None, 0
+
+        def outcome(fn):
+            try:
+                w, v = fn(np.eye(n), np.eye(n))
+            except IndexError as exc:  # a pair that starts in the last column
+                return type(exc).__name__
+            return w.tobytes(), v.dtype, v.tobytes()
+
+        with mock.patch.object(solvers, "dggev", fake_dggev), \
+                mock.patch.object(ref, "dggev", fake_dggev):
+            assert outcome(_ggev) == outcome(ref.ggev)
+
     @pytest.mark.parametrize("field", ["s1", "u", "v"])
     def test_nan_entry_is_degenerate_input(self, field):
         corr = random_corrset(np.random.default_rng(21))
@@ -211,6 +316,144 @@ class TestDirectGgev:
             solve_gep_f_beta(corr)
         with pytest.raises(DegenerateInput):
             solve_gep_f_beta(corr, (-10.0, 10.0))
+
+
+def tall_matrices(seed):
+    """The QR's and lstsq's inputs: a draw's b3 block, and other tall shapes."""
+    rng = np.random.default_rng(seed)
+    m1, _ = build_f_pencil(_normalize_corr(random_corrset(rng))[0])
+    dup = rng.normal(size=(9, 3))
+    dup[:, 2] = dup[:, 0]
+    zero = rng.normal(size=(9, 3)) * 1e3
+    zero[:, 1] = 0.0
+    # a singular value between eps and numpy's rcond, 9 eps: rank 2 to lstsq
+    u, _ = np.linalg.qr(rng.normal(size=(9, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    near = u @ np.diag([1.0, 0.5, 5e-16]) @ v.T
+    return [m1[:, 6:9], dup, zero, near, rng.normal(size=(7, 2)),
+            rng.normal(size=(12, 5)) * 1e-3]
+
+
+class TestDirectQr:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_to_numpy_qr(self, seed):
+        for a in tall_matrices(seed):
+            want = np.linalg.qr(a, mode="complete")[0]
+            got = _complete_q(a)
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+class TestDirectLstsq:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_to_numpy_lstsq(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for a in tall_matrices(seed):
+            b = rng.normal(size=a.shape[0]) * 10.0 ** rng.uniform(-3, 3)
+            want = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert _lstsq(a, b).tobytes() == want.tobytes()
+
+
+class TestNormalizingTransform:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 4, 5, 8, 9, 17, 130, 2400]),
+        log_scale=st.floats(-3, 3),
+        offset=st.floats(-1e4, 1e4),
+    )
+    def test_bit_identical_to_mean_and_norm(self, seed, n, log_scale, offset):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1, 1, (2, n, 2)) * 10.0**log_scale + offset
+        stacked = normalizing_transform(pts)
+        for k in range(2):
+            want = ref.normalizing_transform(pts[k]).tobytes()
+            assert stacked[k].tobytes() == want
+            assert normalizing_transform(pts[k]).tobytes() == want
+        # the strided (n, 2) view of homogeneous rows that _normalize_corr takes
+        rows = np.column_stack([pts[0], np.ones(n)])
+        want = ref.normalizing_transform(rows[:, :2]).tobytes()
+        assert normalizing_transform(rows[:, :2]).tobytes() == want
+
+    def test_normalize_corr_bit_identical(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            corr = random_corrset(rng)
+            got, want = _normalize_corr(corr), ref.normalize_corr(corr)
+            for g, w in zip((got[0].s1, got[0].u, got[0].v, *got[1:]),
+                            (want[0].s1, want[0].u, want[0].v, *want[1:])):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_coincident_points_raise(self, which):
+        pts = np.random.default_rng(31).uniform(0, 100, (2, 9, 2))
+        pts[which] = [3.0, 4.0]
+        with pytest.raises(DegenerateInput):
+            normalizing_transform(pts)
+        with pytest.raises(DegenerateInput):
+            ref.normalizing_transform(pts[which])
+
+
+def split_bytes(triples):
+    return [
+        (np.float64(beta).tobytes(), None if vec is None else vec.tobytes(),
+         np.float64(leak).tobytes())
+        for beta, vec, leak in triples
+    ]
+
+
+@st.composite
+def eigen_systems(draw):
+    """Values, their eigenvectors (or None) and a window, as the solvers make them.
+
+    The pencils' vectors come from ``_ggev``; those of 3x3 matrices from
+    ``np.linalg.eig``. A column can be zeroed, and a near-real conjugate pair
+    of values and vectors can replace two.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["real", "complex", "singular-b", "eig3", "roots"]))
+    if source == "eig3":
+        values, vectors = np.linalg.eig(rng.normal(size=(3, 3)))
+    elif source == "roots":
+        values = rng.normal(size=12) * 20 + 1j * rng.normal(size=12) * 10.0 ** rng.integers(
+            -12, 1, size=12
+        )
+        values[rng.integers(0, 12, size=3)] = [np.nan, np.inf, 2.0]
+        vectors = None
+    else:
+        values, vectors = _ggev(*pencil(int(rng.integers(2**32)), source))
+    n = values.shape[0]
+    if vectors is not None:
+        if draw(st.booleans()):
+            vectors[:, int(rng.integers(n))] = 0.0
+        if draw(st.booleans()):
+            # imaginary parts that pass the value test, and vector ones that
+            # pass or fail the leak test
+            eps = 10.0 ** draw(st.sampled_from([-9, -7]))
+            leak = 10.0 ** draw(st.sampled_from([-9, -5, -3]))
+            k = int(rng.integers(n - 1))
+            base = rng.normal(size=n) + 1j * leak * rng.normal(size=n)
+            values = values.astype(complex)
+            values[k:k + 2] = 1.5 + eps * 1j, 1.5 - eps * 1j
+            vectors = vectors.astype(complex)
+            vectors[:, k], vectors[:, k + 1] = base, np.conj(base)
+    window = None
+    if draw(st.booleans()):
+        lo = draw(st.floats(-100, 100))
+        window = (lo, lo + draw(st.floats(0, 200)))
+    return values, vectors, window
+
+
+class TestSplitReal:
+    @settings(max_examples=300, deadline=None)
+    @given(eigen_systems())
+    def test_bit_identical_to_per_value_loop(self, case):
+        values, vectors, window = case
+        inside = np.ones(values.shape, bool)
+        if window is not None:
+            inside = (window[0] <= values.real) & (values.real <= window[1])
+        want = ref.split_real(values[inside], None if vectors is None else vectors[:, inside])
+        assert split_bytes(_split_real(values, vectors, window)) == split_bytes(want)
 
 
 @st.composite
