@@ -21,8 +21,6 @@ from .geometry import (
     LinearizedCorrespondence,
     Trajectory,
     TwoViewModel,
-    epipolar_residual,
-    homography_residual,
     linearize,
     model_distance,
 )

@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import CamsyncError, CheiralityAmbiguous, TrajectoryFormatError
+from .errors import CamsyncError, NotEnoughCorrespondences, TrajectoryFormatError
 from .geometry import FUNDAMENTAL
 from .pose import decompose_f, relative_pose, rotation_error, translation_error
 from .robust import (
@@ -158,12 +158,12 @@ def _cmd_sync(args) -> int:
             beta = run.beta_total
             model = run.model
             records = run.iterations
-            accepted = [r for r in records if r.accepted]
-            inliers = accepted[-1].inlier_count if accepted else 0
+            # iterative_sync raises NeverImproved unless some step was accepted
+            inliers = [r for r in records if r.accepted][-1].inlier_count
             total = run.total_correspondences
     except CamsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.__class__.__name__ in ("TrajectoryFormatError", "NotEnoughCorrespondences"):
+        if isinstance(exc, (TrajectoryFormatError, NotEnoughCorrespondences)):
             return EXIT_INPUT
         return EXIT_ALGORITHM
     if args.fps is not None:
@@ -244,11 +244,10 @@ SWEEP_COLUMNS = [
 
 
 def _pose_errors(model, gt):
+    """Rotation and translation errors of a fundamental matrix's pose."""
     cam1, cam2 = gt.cameras
     r_gt, t_gt = relative_pose(cam1, cam2)
-    probe = gt.probe_pairs()
-    f = model if model.kind != FUNDAMENTAL else model.rank2_projected()
-    r, t = decompose_f(f, cam1.K, cam2.K, probe)
+    r, t = decompose_f(model.rank2_projected(), cam1.K, cam2.K, gt.probe_pairs())
     return rotation_error(r, r_gt), translation_error(t, t_gt)
 
 
@@ -387,7 +386,7 @@ def _sweep_cell(
                 re_deg, te = _pose_errors(model, gt)
                 row["rot_err_deg"] = repr(re_deg)
                 row["trans_err"] = repr(te)
-            except (CheiralityAmbiguous, CamsyncError):
+            except CamsyncError:
                 pass
     except CamsyncError as exc:
         row["status"] = f"failed:{exc.__class__.__name__}"

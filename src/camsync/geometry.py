@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingFrame, SingularModel, ZeroVector
+from .errors import MissingFrame, SingularModel
 
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
@@ -34,12 +34,6 @@ class ImageSample:
             raise ValueError(f"frame must be in [0, 2**63 - 1], got {self.frame}")
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError("sample coordinates must be finite")
-
-    def homogeneous(self) -> np.ndarray:
-        return np.array([self.u, self.v, 1.0])
-
-    def xy(self) -> np.ndarray:
-        return np.array([self.u, self.v])
 
 
 @dataclass(eq=False)
@@ -94,7 +88,7 @@ class Trajectory:
         """
         n = len(self.frames)
         idx = np.searchsorted(self.frames, first)
-        if n == 0:
+        if length >= n:  # no run of length + 1 frames; idx + length may overflow
             return idx, np.zeros(idx.shape, dtype=bool)
         # strictly increasing integers with frames[idx] >= first: reaching
         # first + length in exactly `length` steps leaves no room for a hole
@@ -116,15 +110,6 @@ class LinearizedCorrespondence:
     v_vec: np.ndarray  # tangent, pixels per camera-2 frame (2,)
     j0: int  # camera-2 anchor frame
     d: int  # signed secant span in camera-2 frames
-
-    def predict(self, beta: float) -> np.ndarray:
-        return self.u_vec + beta * self.v_vec
-
-    def u_homogeneous(self) -> np.ndarray:
-        return np.array([self.u_vec[0], self.u_vec[1], 1.0])
-
-    def v_homogeneous(self) -> np.ndarray:
-        return np.array([self.v_vec[0], self.v_vec[1], 0.0])
 
 
 def linearize(
@@ -191,13 +176,6 @@ def model_distance(a: TwoViewModel, b: TwoViewModel) -> float:
     return float(np.linalg.norm(a.m - b.m))
 
 
-def _to_h(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape == (2,):
-        return np.array([p[0], p[1], 1.0])
-    return p
-
-
 def epipolar_constraint(x2: np.ndarray, f: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """x2_i^T F x1_i per row: ``np.einsum("ij,jk,ik->i", x2, f, x1)``'s bits.
 
@@ -254,15 +232,3 @@ def transfer_distances(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndar
         np.linalg.norm(fw - p2, axis=1) + np.linalg.norm(bw - p1, axis=1)
     )
     return out
-
-
-def epipolar_residual(model: TwoViewModel, s1, s2) -> float:
-    """Sampson distance of one correspondence under a fundamental matrix."""
-    m = TwoViewModel.normalized(model.kind, model.m).m
-    return float(sampson_distances(m, _to_h(s1)[None, :], _to_h(s2)[None, :])[0])
-
-
-def homography_residual(model: TwoViewModel, s1, s2) -> float:
-    """Symmetric transfer error of one correspondence under a homography."""
-    m = TwoViewModel.normalized(model.kind, model.m).m
-    return float(transfer_distances(m, _to_h(s1)[None, :], _to_h(s2)[None, :])[0])

@@ -23,6 +23,9 @@ from .errors import (
     SingularModel,
 )
 from .geometry import (
+    FUNDAMENTAL,
+    HOMOGRAPHY,
+    MAX_FRAME,
     Trajectory,
     sampson_distances,
     transfer_distances,
@@ -30,16 +33,14 @@ from .geometry import (
 from .solvers import (
     CorrSet,
     SolverCandidate,
-    _kron_rows,
-    _normalize_corr,
-    _skew_rows,
+    fit_beta_at_model,
+    fit_model_at_beta,
     solve_4pt_h,
     solve_7pt_f,
     solve_gep_f_beta,
     solve_min_f_beta,
     solve_min_h_beta,
 )
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
 # scalar reference of build_correspondences; the benchmark's traced run counts
 # calls through this binding
 from .geometry import linearize  # noqa: F401
@@ -99,6 +100,8 @@ class RansacParams:
             raise ValueError("confidence must be in (0, 1)")
         if self.d == 0:
             raise ValueError("d must be nonzero")
+        if not abs(self.d) <= MAX_FRAME:  # the secant's frames are int64
+            raise ValueError("|d| must be <= 2**63 - 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.beta_max is not None and not self.beta_max >= 0:  # also rejects NaN
@@ -145,7 +148,10 @@ def _matched_tracks(
         if t2 is None:
             continue
         target = beta0 + rho * t1.frames
-        j0 = np.floor(target).astype(np.int64)
+        # a camera-2 time outside [0, 2**63) has no frame: anchoring it at -1
+        # instead of casting it leaves its row not ok
+        inside = (target >= 0) & (target < 2.0**63)
+        j0 = np.floor(np.where(inside, target, -1.0)).astype(np.int64)
         # the secant's frames run from min(j0, j0 + d); p0 is at j0, p1 at j0 + d
         first, ok = t2.runs(j0 + min(d, 0), abs(d))
         yield t1, t2, target, j0, first, ok
@@ -229,56 +235,19 @@ def score_candidate(
     return mask, float(res[mask].sum())
 
 
-def _smallest_right_singular(rows: np.ndarray) -> np.ndarray:
-    # eigenvector of the 9x9 normal matrix: O(n) instead of a full n x 9 SVD
-    _, vecs = np.linalg.eigh(rows.T @ rows)
-    return vecs[:, 0]
-
-
-def _fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:
-    """Least-squares model over a consensus set with the shift held fixed."""
-    sub_n, t1, t2 = _normalize_corr(sub)
-    pred = sub_n.u + beta * sub_n.v
-    if geometry == FUNDAMENTAL:
-        fn = _smallest_right_singular(_kron_rows(pred, sub_n.s1)).reshape(3, 3)
-        return TwoViewModel.normalized(FUNDAMENTAL, t2.T @ fn @ t1)
-    hn = _smallest_right_singular(_skew_rows(sub_n.s1, pred)).reshape(3, 3)
-    return TwoViewModel.normalized(HOMOGRAPHY, np.linalg.inv(t2) @ hn @ t1)
-
-
-def _fit_beta_at_model(geometry: str, sub: CorrSet, model: TwoViewModel) -> float:
-    """Closed-form least-squares shift with the model held fixed."""
-    if geometry == FUNDAMENTAL:
-        a = np.einsum("ij,ij->i", sub.u @ model.m, sub.s1)
-        b = np.einsum("ij,ij->i", sub.v @ model.m, sub.s1)
-        denom = float(b @ b)
-        if denom < 1e-18:
-            raise DegenerateInput("shift unobservable on this consensus set")
-        return float(-(a @ b) / denom)
-    hx = sub.s1 @ model.m.T
-    if np.any(np.abs(hx[:, 2]) < 1e-12):
-        raise DegenerateInput("mapped point at infinity")
-    hx = hx[:, :2] / hx[:, 2:3]
-    diff = (hx - sub.u[:, :2]).ravel()
-    v2 = sub.v[:, :2].ravel()
-    denom = float(v2 @ v2)
-    if denom < 1e-18:
-        raise DegenerateInput("shift unobservable on this consensus set")
-    return float((v2 @ diff) / denom)
-
-
 def refine_candidate(
     kind: str,
     cand: SolverCandidate,
     mask: np.ndarray,
     corr: CorrSet,
     params: RansacParams,
-    rounds: int = 2,
 ) -> tuple[SolverCandidate, np.ndarray, int, float]:
     """Alternate model/shift least squares over the consensus set.
 
-    Classical baselines keep their shift fixed at beta0. Each round is kept
-    only if it does not lose inliers; the incumbent wins ties.
+    Up to ``params.refine_rounds`` rounds of ``fit_model_at_beta`` then, for
+    the kinds that estimate the shift, ``fit_beta_at_model``; the classical
+    baselines keep their shift fixed at beta0. Each round is kept only if it
+    does not lose inliers; the incumbent wins ties.
     """
     best = cand
     best_mask, best_res = score_candidate(kind, cand, corr, params.threshold)
@@ -286,16 +255,16 @@ def refine_candidate(
     lo = params.beta0 - params.beta_window
     hi = params.beta0 + params.beta_window
     spec = solver_kind(kind)
-    for _ in range(rounds):
+    for _ in range(params.refine_rounds):
         idx = np.flatnonzero(best_mask)
         if len(idx) < spec.sample_size:
             break
         sub = corr.take(idx)
         try:
-            model = _fit_model_at_beta(spec.geometry, sub, best.beta)
+            model = fit_model_at_beta(spec.geometry, sub, best.beta)
             beta = best.beta
             if spec.estimates_beta:
-                beta = _fit_beta_at_model(spec.geometry, sub, model)
+                beta = fit_beta_at_model(spec.geometry, sub, model)
         except (DegenerateInput, np.linalg.LinAlgError):
             break
         beta = min(max(beta, lo), hi)
@@ -380,7 +349,7 @@ def ransac_estimate(
         )
     if params.refine_rounds > 0:
         best, best_mask, best_count, _ = refine_candidate(
-            kind, best, best_mask, corr, params, params.refine_rounds
+            kind, best, best_mask, corr, params
         )
     return RansacResult(
         best=best,

@@ -15,9 +15,13 @@ Solvers:
   - solve_min_h_beta: 5 correspondences (two equations each for four, one for
     the fifth), nullspace parametrization and a 3x3 eigenvalue problem.
   - solve_7pt_f / solve_4pt_h: classical baselines ignoring the time shift.
+  - fit_model_at_beta / fit_beta_at_model: the least-squares fits that
+    RANSAC's refinement alternates over a consensus set.
 
-Inputs are conditioned with isotropic (Hartley-style) normalization of each
-image before the eigenproblems are formed; models are denormalized afterwards.
+Only this module computes in normalized coordinates: every solver and fit
+conditions both images with isotropic (Hartley-style) normalization, maps its
+matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
+their residual-sorted candidates with ``_candidates``.
 
 The GEP solver runs inside RANSAC on 9-row arrays, where numpy's per-call
 overhead costs more than the arithmetic. So it calls LAPACK directly:
@@ -43,6 +47,8 @@ from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, epipolar_constraint
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
+BETA_SPAN = 16.0  # solve_min_f_beta samples det F(beta) on [-BETA_SPAN, BETA_SPAN]
+RESIDUAL_TOL = 1e-6  # and drops the roots whose residual exceeds RESIDUAL_TOL
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -204,6 +210,31 @@ def _h_residual(corr: CorrSet, beta: float, h: np.ndarray) -> float:
     return float(np.max(num / np.maximum(den, 1e-12)))
 
 
+def _to_pixels(geometry: str, t1: np.ndarray, t2: np.ndarray):
+    """The map of a normalized-coordinate matrix m to its pixel model: F is
+    ``t2^T m t1`` and H ``t2^-1 m t1``, the inverse taken once per sample.
+    Like ``TwoViewModel.normalized`` it raises ValueError for a zero or
+    non-finite matrix."""
+    left = t2.T if geometry == FUNDAMENTAL else np.linalg.inv(t2)
+    return lambda m: TwoViewModel.normalized(geometry, left @ m @ t1)
+
+
+def _candidates(corr: CorrSet, to_pixels, found) -> list[SolverCandidate]:
+    """Candidates of normalized ``(beta, m, leak)`` triples, sorted by their
+    algebraic residual over the pixel-coordinate ``corr``; an m that
+    ``to_pixels`` rejects is dropped."""
+    out = []
+    for beta, m, leak in found:
+        try:
+            model = to_pixels(m)
+        except ValueError:
+            continue
+        residual = _f_residual if model.kind == FUNDAMENTAL else _h_residual
+        out.append(SolverCandidate(beta, model, residual(corr, beta, model.m), leak))
+    out.sort(key=lambda c: c.algebraic_residual)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # generalized eigenvalue solver, 9 correspondences
 
@@ -337,35 +368,17 @@ def solve_gep_f_beta(
     if not np.isfinite(values).any():
         raise DegenerateInput("pencil is singular for all beta")
     real = _split_real(values, vectors, window)
-    # f6 is a unit eigenvector, so fmat below is nonzero and ``normalized``
-    # rejects it only if the back-substitution overflows, far beyond any
-    # window. A draw is therefore valid exactly when some eigenvalue passes
-    # _split_real, and those outside the window need no model to decide it.
+    # f6 is a unit eigenvector, so the F built below is nonzero and
+    # ``_to_pixels`` rejects it only if the back-substitution overflows, far
+    # beyond any window. A draw is therefore valid exactly when some eigenvalue
+    # passes _split_real, and those outside the window need no model to decide.
     if not real and not _split_real(values, vectors):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
-    candidates = []
+    found = []
     for beta, f6, leak in real:
-        rhs = -(m1[:, :6] + beta * m2[:, :6]) @ f6
-        f3 = _lstsq(b3, rhs)
-        fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
-        fmat = t2.T @ fmat_n @ t1
-        try:
-            model = TwoViewModel.normalized(FUNDAMENTAL, fmat)
-        except ValueError:
-            continue
-        res = _f_residual(corr, beta, model.m)
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
-    candidates.sort(key=lambda c: c.algebraic_residual)
-    return candidates
-
-
-def raw_pencil_eigenvalues(corr: CorrSet) -> np.ndarray:
-    """Eigenvalues of the uncompressed 9x9 pencil (diagnostics and tests)."""
-    ncorr, _, _ = _normalize_corr(corr)
-    m1, m2 = build_f_pencil(ncorr)
-    return scipy.linalg.eig(m1, -m2, right=False)
+        f3 = _lstsq(b3, -(m1[:, :6] + beta * m2[:, :6]) @ f6)
+        found.append((beta, np.concatenate([f6, f3]).reshape(3, 3), leak))
+    return _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +413,7 @@ def _stacked_minor_nullvectors(ms: np.ndarray) -> np.ndarray:
     return _MINOR_SIGNS * np.linalg.det(sub)
 
 
-def solve_min_f_beta(
-    corr: CorrSet, beta_span: float = 16.0, residual_tol: float = 1e-6
-) -> list[SolverCandidate]:
+def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
     """Minimal fundamental matrix + time shift from 8 correspondences.
 
     Hidden-variable technique: for fixed beta the 8 epipolar constraints are
@@ -410,57 +421,50 @@ def solve_min_f_beta(
     system, each a polynomial of degree <= 8 in beta. Substituting into
     det(F) = 0 yields a univariate polynomial of degree <= 24 whose real roots
     are candidate shifts. Coefficients are recovered by evaluation at 40
-    Chebyshev nodes on [-beta_span, beta_span] and the roots by the companion
+    Chebyshev nodes on [-BETA_SPAN, BETA_SPAN] and the roots by the companion
     (colleague) matrix.
 
     Each stage runs as one stacked LAPACK call per draw: the 40 x 9 minors
     in one ``det``, the 40 sampled determinants in another, and the
     nullspaces of all real roots in one ``svd``. Roots whose 8x9 system has
     rank below 8, whose F is not singular (|det F| > 1e-8) or whose
-    residual exceeds ``residual_tol`` are dropped.
+    residual exceeds ``RESIDUAL_TOL`` are dropped.
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
     ncorr, t1, t2 = _normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
 
-    nodes = _CHEB_NODES * beta_span
+    nodes = _CHEB_NODES * BETA_SPAN
     nullvecs = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
     samples = np.linalg.det(nullvecs.reshape(-1, 3, 3))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
-    coeffs = np.polynomial.chebyshev.chebfit(nodes / beta_span, samples / scale, 24)
+    coeffs = np.polynomial.chebyshev.chebfit(_CHEB_NODES, samples / scale, 24)
     coeffs = np.polynomial.chebyshev.chebtrim(coeffs, tol=1e-13)
     if len(coeffs) < 2:
         raise DegenerateInput("determinant polynomial is constant")
-    roots = np.polynomial.chebyshev.chebroots(coeffs) * beta_span
+    roots = np.polynomial.chebyshev.chebroots(coeffs) * BETA_SPAN
 
     real = _split_real(roots)
     if not real:
         raise NoRealSolution("no real root of the determinant polynomial")
     betas = np.array([beta for beta, _, _ in real])
     _, sing, vt = np.linalg.svd(m1 + betas[:, None, None] * m2)
-    candidates = []
-    for (beta, _, leak), sv, null in zip(real, sing, vt[:, -1]):
-        if sv[-1] < 1e-8 * sv[0]:
-            continue  # rank below 8: nullspace not unique, spurious root
-        fmat = t2.T @ null.reshape(3, 3) @ t1
-        try:
-            model = TwoViewModel.normalized(FUNDAMENTAL, fmat)
-        except ValueError:
-            continue
-        if abs(np.linalg.det(model.m)) > 1e-8:
-            continue
-        res = _f_residual(corr, beta, model.m)
-        if res > residual_tol:
-            continue
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
+    # a root whose 8x9 system has rank below 8 has no unique nullspace
+    found = [
+        (beta, null.reshape(3, 3), leak)
+        for (beta, _, leak), sv, null in zip(real, sing, vt[:, -1])
+        if not sv[-1] < 1e-8 * sv[0]
+    ]
+    candidates = [
+        c for c in _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
+        if not (abs(np.linalg.det(c.model.m)) > 1e-8
+                or c.algebraic_residual > RESIDUAL_TOL)
+    ]
     if not candidates:
         raise NoRealSolution("no real root passed the residual filter")
-    candidates.sort(key=lambda c: c.algebraic_residual)
     return candidates
 
 
@@ -503,25 +507,15 @@ def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]
     except np.linalg.LinAlgError as exc:
         raise DegenerateInput("quadratic system is rank-deficient") from exc
     values, vectors = np.linalg.eig(action)
-    t2_inv = np.linalg.inv(t2)
-    candidates = []
+    found = []
     for beta, vec, leak in _split_real(values, vectors):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
-        w = g1 * n1 + g2 * n2 + n3
-        hmat = t2_inv @ w[:9].reshape(3, 3) @ t1
-        try:
-            model = TwoViewModel.normalized(HOMOGRAPHY, hmat)
-        except ValueError:
-            continue
-        res = _h_residual(corr, beta, model.m)
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
+        found.append((beta, (g1 * n1 + g2 * n2 + n3)[:9].reshape(3, 3), leak))
+    candidates = _candidates(corr, _to_pixels(HOMOGRAPHY, t1, t2), found)
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
-    candidates.sort(key=lambda c: c.algebraic_residual)
     return candidates
 
 
@@ -548,11 +542,11 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
     if len(poly) < 2:
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.polynomial.polyroots(poly)
+    to_pixels = _to_pixels(FUNDAMENTAL, t1, t2)
     models = []
     for x, _, _ in _split_real(roots):
-        fmat = t2.T @ (x * f1 + (1 - x) * f2) @ t1
         try:
-            models.append(TwoViewModel.normalized(FUNDAMENTAL, fmat))
+            models.append(to_pixels(x * f1 + (1 - x) * f2))
         except ValueError:
             continue
     if not models:
@@ -584,5 +578,41 @@ def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
         raise DegenerateInput("three collinear points in a 4-point homography sample")
     ncorr, t1, t2 = _normalize_corr(corr)
     _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
-    hmat = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
-    return TwoViewModel.normalized(HOMOGRAPHY, hmat)
+    return _to_pixels(HOMOGRAPHY, t1, t2)(vt[-1].reshape(3, 3))
+
+
+# ---------------------------------------------------------------------------
+# least-squares refits over a consensus set
+
+
+def fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:
+    """Least-squares model over a consensus set with the shift held fixed:
+    the smallest right singular vector of the normalized constraint rows, as
+    the eigenvector of their 9x9 normal matrix (O(n), not an n x 9 SVD)."""
+    sub_n, t1, t2 = _normalize_corr(sub)
+    pred = sub_n.u + beta * sub_n.v
+    if geometry == FUNDAMENTAL:
+        rows = _kron_rows(pred, sub_n.s1)
+    else:
+        rows = _skew_rows(sub_n.s1, pred)
+    _, vecs = np.linalg.eigh(rows.T @ rows)
+    return _to_pixels(geometry, t1, t2)(vecs[:, 0].reshape(3, 3))
+
+
+def fit_beta_at_model(geometry: str, sub: CorrSet, model: TwoViewModel) -> float:
+    """Closed-form least-squares shift with the model held fixed: the beta
+    minimizing |a + beta b|^2, with a and b the epipolar constraint's terms
+    (F) or the anchor's offset from the transferred point and the tangent (H)."""
+    if geometry == FUNDAMENTAL:
+        a = np.einsum("ij,ij->i", sub.u @ model.m, sub.s1)
+        b = np.einsum("ij,ij->i", sub.v @ model.m, sub.s1)
+    else:
+        hx = sub.s1 @ model.m.T
+        if np.any(np.abs(hx[:, 2]) < 1e-12):
+            raise DegenerateInput("mapped point at infinity")
+        a = (sub.u[:, :2] - hx[:, :2] / hx[:, 2:3]).ravel()
+        b = sub.v[:, :2].ravel()
+    denom = float(b @ b)
+    if denom < 1e-18:
+        raise DegenerateInput("shift unobservable on this consensus set")
+    return float(-(a @ b) / denom)

@@ -45,6 +45,8 @@ class IterParams:
             raise ValueError("k_max must be >= 1")
         if not (0 <= self.p_min <= self.p_max):
             raise ValueError("need 0 <= p_min <= p_max")
+        if self.p_max > 62:  # d = 2**p_max must fit in int64
+            raise ValueError("p_max must be <= 62")
 
 
 @dataclass

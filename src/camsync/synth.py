@@ -33,6 +33,7 @@ PLANAR_SMOOTH = "planar-smooth"
 _SCENE_CENTER = np.array([0.0, 0.0, 10.0])
 _SCENE_EXTENT = np.array([3.0, 3.0, 2.0])
 _CAMERA_RADIUS = 10.0
+_MIN_ANGLE_DEG = 12.0  # smallest turn between the two cameras, for triangulation
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SceneSpec:
     motion: str = SMOOTH_RANDOM
     n_tracks: int = 2
     exact_model: str = "F"  # exact-linear flavor: identifiable F or identifiable H
-    min_angle_deg: float = 10.0
     waypoint_spacing: float = 25.0  # frames between spline waypoints
 
     def __post_init__(self):
@@ -73,7 +73,6 @@ class GroundTruth:
     cameras: tuple[CameraCalib, CameraCalib]
     h: TwoViewModel | None = None
     clean1: dict[str, np.ndarray] = field(default_factory=dict)  # (n,3) frame,u,v
-    clean2: dict[str, np.ndarray] = field(default_factory=dict)
     sync_pairs: dict[str, np.ndarray] = field(default_factory=dict)  # (n,4) x1,y1,x2,y2
     outlier_labels: dict[str, np.ndarray] | None = None
 
@@ -110,19 +109,15 @@ def _rot_x(a: float) -> np.ndarray:
 
 
 def random_camera_pair(
-    rng: np.random.Generator,
-    image_size: tuple[int, int],
-    min_angle_deg: float,
+    rng: np.random.Generator, image_size: tuple[int, int]
 ) -> tuple[CameraCalib, CameraCalib]:
     """Camera 1 at the world origin (identity pose), camera 2 on the viewing
-    sphere separated by at least the minimal triangulation angle."""
+    sphere, _MIN_ANGLE_DEG to 40 degrees away in azimuth, up to 12 in elevation."""
     w, h = image_size
     focal = rng.uniform(950.0, 1150.0)
     k = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
     cam1 = CameraCalib(K=k, R=np.eye(3), t=np.zeros(3))
-    angle = math.radians(rng.uniform(max(min_angle_deg, 12.0), 40.0)) * rng.choice(
-        [-1.0, 1.0]
-    )
+    angle = math.radians(rng.uniform(_MIN_ANGLE_DEG, 40.0)) * rng.choice([-1.0, 1.0])
     elev = math.radians(rng.uniform(-12.0, 12.0))
     dir1 = -_SCENE_CENTER / np.linalg.norm(_SCENE_CENTER)
     dir2 = _rot_y(angle) @ _rot_x(elev) @ dir1
@@ -196,7 +191,7 @@ def _homography_from_plane(
 
 
 def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng, spec.image_size, spec.min_angle_deg)
+    cam1, cam2 = random_camera_pair(rng, spec.image_size)
     f_gt = fundamental_from_calib(cam1, cam2)
     h_gt = None
     in_plane = None
@@ -235,7 +230,6 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
         pix2 = _project(cam2, spline((frames2 - beta) / rho))
         sync2 = _project(cam2, spline(frames1))  # camera-2 view at camera-1 instants
         gt.clean1[track] = np.column_stack([frames1, pix1])
-        gt.clean2[track] = np.column_stack([frames2, pix2])
         gt.sync_pairs[track] = np.column_stack([pix1, sync2])
         n1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         n2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
@@ -245,7 +239,7 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
 
 
 def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng, spec.image_size, spec.min_angle_deg)
+    cam1, cam2 = random_camera_pair(rng, spec.image_size)
     f_gt = fundamental_from_calib(cam1, cam2)
     h_gt = None
     if spec.exact_model == "H":
@@ -284,7 +278,6 @@ def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
             pix1 = foot + drift[:, None] * tang
         sync2 = truth
         gt.clean1[f"t{ti}"] = np.column_stack([frames1, pix1])
-        gt.clean2[f"t{ti}"] = np.column_stack([frames2, pix2])
         gt.sync_pairs[f"t{ti}"] = np.column_stack([pix1, sync2])
         noise1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         noise2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)

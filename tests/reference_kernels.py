@@ -7,7 +7,9 @@ the code the package ran before those rewrites, calling ``np.mean``,
 ``np.linalg.norm``, ``np.linalg.qr``, ``np.linalg.lstsq``,
 ``scipy.linalg.eig``'s post-processing and ``np.einsum`` directly, so a test
 can hold the two side by side, or patch ``camsync.robust``'s bindings with
-these and compare whole RANSAC runs.
+these and compare whole RANSAC runs. Every solver and refit here maps its
+normalized-coordinate matrix back to pixels on its own line, as each did
+before ``camsync.solvers`` gave them one shared mapping and candidate step.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ from camsync.errors import DegenerateInput, NoRealSolution
 from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, transfer_distances
 from camsync.robust import solver_kind
 from camsync.solvers import (
+    BETA_SPAN,
     IMAG_TOL,
+    RESIDUAL_TOL,
     CorrSet,
     SolverCandidate,
+    _collinear_triple,
     _ggev_lwork,
     _h_residual,
+    _kron_rows,
     _skew_rows,
     _stacked_minor_nullvectors,
     build_f_pencil,
@@ -172,24 +178,22 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     return candidates
 
 
-def solve_min_f_beta(
-    corr: CorrSet, beta_span: float = 16.0, residual_tol: float = 1e-6
-) -> list[SolverCandidate]:
+def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
     ncorr, t1, t2 = normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
-    nodes = solvers._CHEB_NODES * beta_span
+    nodes = solvers._CHEB_NODES * BETA_SPAN
     nullvecs = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
     samples = np.linalg.det(nullvecs.reshape(-1, 3, 3))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
-    coeffs = np.polynomial.chebyshev.chebfit(nodes / beta_span, samples / scale, 24)
+    coeffs = np.polynomial.chebyshev.chebfit(nodes / BETA_SPAN, samples / scale, 24)
     coeffs = np.polynomial.chebyshev.chebtrim(coeffs, tol=1e-13)
     if len(coeffs) < 2:
         raise DegenerateInput("determinant polynomial is constant")
-    roots = np.polynomial.chebyshev.chebroots(coeffs) * beta_span
+    roots = np.polynomial.chebyshev.chebroots(coeffs) * BETA_SPAN
     real = split_real(roots)
     if not real:
         raise NoRealSolution("no real root of the determinant polynomial")
@@ -207,7 +211,7 @@ def solve_min_f_beta(
         if abs(np.linalg.det(model.m)) > 1e-8:
             continue
         res = f_residual(corr, beta, model.m)
-        if res > residual_tol:
+        if res > RESIDUAL_TOL:
             continue
         candidates.append(
             SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
@@ -261,6 +265,79 @@ def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]
     return candidates
 
 
+def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
+    if len(corr) != 7:
+        raise ValueError(f"solve_7pt_f needs 7 correspondences, got {len(corr)}")
+    ncorr, t1, t2 = normalize_corr(corr)
+    m = _kron_rows(ncorr.u, ncorr.s1)
+    _, sing, vt = np.linalg.svd(m)
+    if sing[6] < 1e-12 * sing[0]:
+        raise DegenerateInput("coefficient matrix rank below 7")
+    f1 = vt[-1].reshape(3, 3)
+    f2 = vt[-2].reshape(3, 3)
+    xs = np.array([0.0, 1.0, 2.0, -1.0])
+    ys = np.array([np.linalg.det(x * f1 + (1 - x) * f2) for x in xs])
+    poly = np.polynomial.polynomial.polyfit(xs, ys, 3)
+    poly = np.polynomial.polynomial.polytrim(poly, tol=1e-14 * max(1.0, np.abs(ys).max()))
+    if len(poly) < 2:
+        raise DegenerateInput("determinant polynomial is constant")
+    roots = np.polynomial.polynomial.polyroots(poly)
+    models = []
+    for x, _, _ in split_real(roots):
+        fmat = t2.T @ (x * f1 + (1 - x) * f2) @ t1
+        try:
+            models.append(normalized_model(FUNDAMENTAL, fmat))
+        except ValueError:
+            continue
+    if not models:
+        raise NoRealSolution("no real root of the cubic")
+    return models
+
+
+def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
+    if len(corr) != 4:
+        raise ValueError(f"solve_4pt_h needs 4 correspondences, got {len(corr)}")
+    if _collinear_triple(corr.s1[:, :2]) or _collinear_triple(corr.u[:, :2]):
+        raise DegenerateInput("three collinear points in a 4-point homography sample")
+    ncorr, t1, t2 = normalize_corr(corr)
+    _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
+    hmat = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
+    return normalized_model(HOMOGRAPHY, hmat)
+
+
+def fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:
+    sub_n, t1, t2 = normalize_corr(sub)
+    pred = sub_n.u + beta * sub_n.v
+    if geometry == FUNDAMENTAL:
+        rows = _kron_rows(pred, sub_n.s1)
+        _, vecs = np.linalg.eigh(rows.T @ rows)
+        return normalized_model(FUNDAMENTAL, t2.T @ vecs[:, 0].reshape(3, 3) @ t1)
+    rows = _skew_rows(sub_n.s1, pred)
+    _, vecs = np.linalg.eigh(rows.T @ rows)
+    hn = vecs[:, 0].reshape(3, 3)
+    return normalized_model(HOMOGRAPHY, np.linalg.inv(t2) @ hn @ t1)
+
+
+def fit_beta_at_model(geometry: str, sub: CorrSet, model: TwoViewModel) -> float:
+    if geometry == FUNDAMENTAL:
+        a = np.einsum("ij,ij->i", sub.u @ model.m, sub.s1)
+        b = np.einsum("ij,ij->i", sub.v @ model.m, sub.s1)
+        denom = float(b @ b)
+        if denom < 1e-18:
+            raise DegenerateInput("shift unobservable on this consensus set")
+        return float(-(a @ b) / denom)
+    hx = sub.s1 @ model.m.T
+    if np.any(np.abs(hx[:, 2]) < 1e-12):
+        raise DegenerateInput("mapped point at infinity")
+    hx = hx[:, :2] / hx[:, 2:3]
+    diff = (hx - sub.u[:, :2]).ravel()
+    v2 = sub.v[:, :2].ravel()
+    denom = float(v2 @ v2)
+    if denom < 1e-18:
+        raise DegenerateInput("shift unobservable on this consensus set")
+    return float((v2 @ diff) / denom)
+
+
 def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     e = np.einsum("ij,jk,ik->i", x2, f, x1)
     l2 = x1 @ f.T
@@ -288,6 +365,9 @@ ROBUST_BINDINGS = {
     "solve_gep_f_beta": solve_gep_f_beta,
     "solve_min_f_beta": solve_min_f_beta,
     "solve_min_h_beta": solve_min_h_beta,
+    "solve_7pt_f": solve_7pt_f,
+    "solve_4pt_h": solve_4pt_h,
     "score_candidate": score_candidate,
-    "_normalize_corr": normalize_corr,
+    "fit_model_at_beta": fit_model_at_beta,
+    "fit_beta_at_model": fit_beta_at_model,
 }

@@ -13,8 +13,6 @@ from camsync import (
     Trajectory,
     TwoViewModel,
     ZeroVector,
-    epipolar_residual,
-    homography_residual,
     linearize,
     model_distance,
 )
@@ -23,6 +21,7 @@ from camsync.geometry import (
     HOMOGRAPHY,
     epipolar_constraint,
     sampson_distances,
+    transfer_distances,
 )
 from camsync.solvers import CorrSet, _f_residual
 
@@ -39,11 +38,6 @@ def line_trajectory(a, w, n=30, camera_id="cam2", track_id="t0"):
 
 
 class TestImageSampleAndTrajectory:
-    def test_homogeneous_lift(self):
-        s = ImageSample(frame=3, u=1.5, v=-2.0)
-        assert np.allclose(s.homogeneous(), [1.5, -2.0, 1.0])
-        assert np.allclose(s.xy(), [1.5, -2.0])
-
     def test_rejects_nonfinite_coordinates(self):
         with pytest.raises(ValueError):
             ImageSample(frame=0, u=float("nan"), v=0.0)
@@ -107,7 +101,7 @@ class TestLinearize:
         assert np.allclose(lin.v_vec, w)
         for beta in (-1.0, -0.25, 0.0, 0.7, 1.0):
             expected = a + (5 * 1.0 + beta) * w
-            assert np.allclose(lin.predict(beta), expected, atol=1e-12)
+            assert np.allclose(lin.u_vec + beta * lin.v_vec, expected, atol=1e-12)
 
     def test_v_independent_of_d_on_exact_line(self):
         a, w = np.array([50.0, 60.0]), np.array([-2.0, 4.0])
@@ -124,16 +118,16 @@ class TestLinearize:
             lin = linearize(traj, i=15, beta0=0.0, rho=1.0, d=d)
             for beta in np.linspace(-abs(d), abs(d), 9):
                 expected = a + (15 + beta) * w
-                assert np.allclose(lin.predict(beta), expected, atol=1e-12)
+                assert np.allclose(lin.u_vec + beta * lin.v_vec, expected, atol=1e-12)
 
     def test_fractional_beta0_alignment(self):
-        # with beta0 = 0.5 the anchor shifts so predict(beta) stays exact
+        # with beta0 = 0.5 the anchor shifts so u + beta v stays exact
         a, w = np.array([0.0, 0.0]), np.array([2.0, 1.0])
         traj = line_trajectory(a, w)
         lin = linearize(traj, i=6, beta0=0.5, rho=1.0, d=1)
         for beta in (0.2, 0.5, 0.9):
             expected = a + (6 + beta) * w
-            assert np.allclose(lin.predict(beta), expected, atol=1e-12)
+            assert np.allclose(lin.u_vec + beta * lin.v_vec, expected, atol=1e-12)
 
     def test_missing_frame_beyond_end(self):
         traj = line_trajectory([0, 0], [1, 1], n=10)
@@ -167,6 +161,15 @@ def _sampson_by_hand(f, p1, p2):
     return abs(e) / math.sqrt(g)
 
 
+def _row(p):
+    """One image point as a (1, 3) homogeneous row."""
+    return np.array([[p[0], p[1], 1.0]])
+
+
+def _sampson(f, p1, p2):
+    return sampson_distances(f, _row(p1), _row(p2))[0]
+
+
 class TestEpipolarResidual:
     def setup_method(self):
         self.f = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
@@ -174,17 +177,16 @@ class TestEpipolarResidual:
 
     def test_point_on_epipolar_line_is_zero(self):
         # for this model the epipolar line of (0,0) is y' = 0
-        assert epipolar_residual(self.model, (0.0, 0.0), (5.0, 0.0)) == 0.0
+        assert _sampson(self.model.m, (0.0, 0.0), (5.0, 0.0)) == 0.0
 
     def test_matches_independent_formula(self):
-        val = epipolar_residual(self.model, (0.0, 0.0), (0.0, 1.0))
+        val = _sampson(self.model.m, (0.0, 0.0), (0.0, 1.0))
         ref = _sampson_by_hand(self.model.m, (0.0, 0.0), (0.0, 1.0))
         assert val == pytest.approx(ref, abs=1e-12)
 
     def test_scale_invariance(self):
-        scaled = TwoViewModel.normalized(FUNDAMENTAL, 5.0 * self.f)
-        a = epipolar_residual(self.model, (1.0, 2.0), (3.0, 4.0))
-        b = epipolar_residual(scaled, (1.0, 2.0), (3.0, 4.0))
+        a = _sampson(self.model.m, (1.0, 2.0), (3.0, 4.0))
+        b = _sampson(-5.0 * self.f, (1.0, 2.0), (3.0, 4.0))
         assert a == pytest.approx(b, abs=1e-12)
 
     @given(
@@ -194,19 +196,17 @@ class TestEpipolarResidual:
     @settings(max_examples=50)
     def test_nonnegative_and_matches_oracle(self, x1, y1, x2, y2):
         rng = np.random.default_rng(7)
-        f = rng.normal(size=(3, 3))
-        model = TwoViewModel.normalized(FUNDAMENTAL, f)
-        val = epipolar_residual(model, (x1, y1), (x2, y2))
+        f = TwoViewModel.normalized(FUNDAMENTAL, rng.normal(size=(3, 3))).m
+        val = _sampson(f, (x1, y1), (x2, y2))
         assert val >= 0.0
-        ref = _sampson_by_hand(model.m, (x1, y1), (x2, y2))
+        ref = _sampson_by_hand(f, (x1, y1), (x2, y2))
         assert val == pytest.approx(ref, abs=1e-9)
 
     def test_degenerate_gradient_sentinel(self):
         # rank-1 model whose gradient vanishes at the origin pair
         f = np.zeros((3, 3))
         f[2, 2] = 1.0
-        model = TwoViewModel.normalized(FUNDAMENTAL, f)
-        assert epipolar_residual(model, (0.0, 0.0), (0.0, 0.0)) == math.inf
+        assert _sampson(f, (0.0, 0.0), (0.0, 0.0)) == math.inf
 
     def test_vectorized_agrees_with_scalar(self):
         rng = np.random.default_rng(3)
@@ -271,32 +271,31 @@ class TestEpipolarReduction:
 
 
 class TestHomographyResidual:
+    @staticmethod
+    def transfer(h, p1, p2):
+        return transfer_distances(h, _row(p1), _row(p2))[0]
+
     def test_identity_zero(self):
-        model = TwoViewModel.normalized(HOMOGRAPHY, np.eye(3))
-        assert homography_residual(model, (3.0, 7.0), (3.0, 7.0)) == pytest.approx(
+        assert self.transfer(np.eye(3), (3.0, 7.0), (3.0, 7.0)) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_identity_euclidean_distance(self):
-        model = TwoViewModel.normalized(HOMOGRAPHY, np.eye(3))
-        assert homography_residual(model, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+        assert self.transfer(np.eye(3), (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
 
     def test_forward_constructed_pair_is_zero(self):
         rng = np.random.default_rng(11)
-        h = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-        model = TwoViewModel.normalized(HOMOGRAPHY, h)
+        h = TwoViewModel.normalized(HOMOGRAPHY, np.eye(3) + 0.1 * rng.normal(size=(3, 3))).m
         s1 = np.array([40.0, 60.0, 1.0])
-        mapped = model.m @ s1
+        mapped = h @ s1
         s2 = mapped[:2] / mapped[2]
-        assert homography_residual(model, s1[:2], s2) == pytest.approx(0.0, abs=1e-10)
+        assert self.transfer(h, s1[:2], s2) == pytest.approx(0.0, abs=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         h = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
-        a = homography_residual(TwoViewModel.normalized(HOMOGRAPHY, h), (1, 2), (3, 4))
-        b = homography_residual(
-            TwoViewModel.normalized(HOMOGRAPHY, -7.0 * h), (1, 2), (3, 4)
-        )
+        a = self.transfer(h, (1, 2), (3, 4))
+        b = self.transfer(-7.0 * h, (1, 2), (3, 4))
         assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -301,6 +301,11 @@ class TestCliSync:
             (["--single-shot", "--seed", "-1"], "seed must be in [0, 2**64 - 1]"),
             (["--seed", "-1"], "seed must be in [0, 2**64 - 1]"),
             (["--single-shot", "--seed", str(2**64)], "seed must be in [0, 2**64 - 1]"),
+            (["--single-shot", "--d", str(2**63)], "|d| must be <= 2**63 - 1"),
+            (["--single-shot", "--d", str(-2**63 - 1)], "|d| must be <= 2**63 - 1"),
+            (["--single-shot", "--d", str(-2**63)], "|d| must be <= 2**63 - 1"),
+            (["--pmin", "63", "--pmax", "63"], "p_max must be <= 62"),
+            (["--pmax", "100000"], "p_max must be <= 62"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):
@@ -309,6 +314,19 @@ class TestCliSync:
         rc = main(["sync", str(path), *opts])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("d", [2**63 - 1, -(2**63 - 1)])
+    def test_largest_d_finds_no_correspondences(self, tmp_path, capsys, d):
+        # camera-1 frame 2 sits at sample 2 of camera 2, where + |d| overflows
+        path = tmp_path / "three.csv"
+        path.write_text("camera_id,track_id,frame,u,v\n" + "".join(
+            f"{cam},t0,{f},{f}.0,{2 * f}.0\n" for cam in ("cam1", "cam2") for f in range(3)
+        ))
+        rc = main(["sync", str(path), "--single-shot", "--d", str(d)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: 0 valid correspondences, solver f-gep needs 9\n"
+        )
 
     def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "latin.csv"

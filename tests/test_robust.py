@@ -1,5 +1,8 @@
 """Hypothesize-and-verify estimation over full trajectories."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,9 +77,9 @@ def reference_build(traj1, traj2, beta0, rho, d):
                 lin = linearize(t2, s.frame, beta0, rho, d)
             except MissingFrame:
                 continue
-            s1.append(s.homogeneous())
-            u.append(lin.u_homogeneous())
-            v.append(lin.v_homogeneous())
+            s1.append([s.u, s.v, 1.0])
+            u.append([*lin.u_vec, 1.0])
+            v.append([*lin.v_vec, 0.0])
             keys.append((t1.track_id, s.frame))
     if not keys:
         return [np.zeros((0, 3))] * 3, keys
@@ -154,6 +157,22 @@ class TestBuildCorrespondences:
         c1, _ = build_correspondences(line("a"), line("b"), 0.0, 1.0, 1)
         c4, _ = build_correspondences(line("a"), line("b"), 0.0, 1.0, 4)
         assert len(c4) == len(c1) - 3
+
+    def test_camera2_time_beyond_int64_is_dropped(self):
+        # rho = 1e18 sends camera-1 frames 10 and up past frame 2**63 - 1, and
+        # frames within 512 of 2**63 - 1 have a float64 time of 2**63; their
+        # rows are dropped with no cast of an out-of-range time, so no warning
+        t1, t2, _ = exact_scene()
+        frames = 2**63 - 1 - np.arange(40, -1, -1)
+        top = [Trajectory(t.camera_id, t.track_id, frames, t.points[:41]) for t in t1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for traj1, rho, d in ((t1, 1e18, 1), (t1, 1e18, -4), (top, 1.0, 1)):
+                corr, keys = build_correspondences(traj1, t2, 0.0, rho, d)
+                assert count_correspondences(traj1, t2, 0.0, rho, d) == len(keys)
+                # only camera-1 frame 0, at camera-2 time 0, keeps its row
+                assert keys == ([(t.track_id, 0) for t in t1] if rho > 1 and d > 0 else [])
+                assert corr.s1.shape == (len(keys), 3)
 
     def test_unmatched_track_skipped(self):
         t1, t2, _ = exact_scene()
@@ -415,33 +434,52 @@ def sync_bytes(run):
 
 
 class TestBitIdenticalToReferenceKernels:
-    """robust's solver and scoring bindings patched with the plain numpy forms
-    of ``reference_kernels`` give the bytes the rewritten kernels give."""
+    """robust's solver, scoring and refit bindings patched with the plain
+    numpy forms of ``reference_kernels`` give the bytes the rewritten kernels
+    give."""
 
     def run_both(self, monkeypatch, run):
+        """``run()`` as is, then with the plain forms patched in, and the
+        names of the plain forms that the second run called."""
         got = run()
+        called = set()
+
+        def spy(name, plain):
+            def wrapper(*args):
+                called.add(name)
+                return plain(*args)
+            return wrapper
+
         with monkeypatch.context() as patched:
             for name, plain in reference_kernels.ROBUST_BINDINGS.items():
-                patched.setattr(robust, name, plain)
+                patched.setattr(robust, name, spy(name, plain))
             want = run()
-        return got, want
+        return got, want, called
 
     @pytest.mark.parametrize("kind, seed", [
         (KIND_F_GEP, 0), (KIND_F_GEP, 1), (KIND_F_MIN, 2), (KIND_H_MIN, 3),
+        (KIND_F_7PT, 4), (KIND_H_4PT, 5),
     ])
     def test_seeded_ransac_estimate(self, monkeypatch, kind, seed):
-        motion = PLANAR_SMOOTH if kind == KIND_H_MIN else "smooth-random"
+        motion = PLANAR_SMOOTH if kind in (KIND_H_MIN, KIND_H_4PT) else "smooth-random"
         t1, t2, _ = generate_scene(SceneSpec(
             seed=seed, beta_gt=3.0, noise_sigma=0.5, n_tracks=4, n_frames=120,
             waypoint_spacing=120.0, motion=motion,
         ))
         (t1, t2), _ = inject_outliers(t1, t2, 0.3, seed=seed + 777)
         params = RansacParams(seed=seed, threshold=3.0, max_iterations=120, d=4)
-        got, want = self.run_both(
-            monkeypatch, lambda: ransac_estimate(t1, t2, kind, params)
-        )
-        assert got.iterations_run > 20  # enough draws to compare
-        assert result_bytes(got) == result_bytes(want)
+        # the refit replaces the winner's model: without it the solver's shows
+        got, want, called = self.run_both(monkeypatch, lambda: [
+            ransac_estimate(t1, t2, kind, replace(params, refine_rounds=rounds))
+            for rounds in (0, params.refine_rounds)
+        ])
+        assert got[0].iterations_run > 20  # enough draws to compare
+        assert [result_bytes(r) for r in got] == [result_bytes(r) for r in want]
+        # the draws, the scoring and the refit all ran on the plain forms
+        assert {"score_candidate", "fit_model_at_beta"} <= called
+        assert ("fit_beta_at_model" in called) == SOLVER_KINDS[kind].estimates_beta
+        assert len(called & {"solve_gep_f_beta", "solve_min_f_beta", "solve_min_h_beta",
+                             "solve_7pt_f", "solve_4pt_h"}) == 1
 
     def test_short_iterative_sync(self, monkeypatch):
         t1, t2, _ = generate_scene(SceneSpec(
@@ -451,6 +489,6 @@ class TestBitIdenticalToReferenceKernels:
         params = IterParams(kind=KIND_F_GEP, k_max=8, ransac=RansacParams(
             seed=4, max_iterations=60, threshold=5.0,
         ))
-        got, want = self.run_both(monkeypatch, lambda: iterative_sync(t1, t2, params))
+        got, want, _ = self.run_both(monkeypatch, lambda: iterative_sync(t1, t2, params))
         assert got.accepted_steps >= 2
         assert sync_bytes(got) == sync_bytes(want)
