@@ -54,7 +54,7 @@ from .solvers import (
 )
 from .sync import IterParams, SyncRun, iterative_sync
 from .synth import GroundTruth, SceneSpec, generate_scene, inject_outliers
-from .trajio import SyncReport, read_trajectories, write_trajectories
+from .trajio import read_trajectories, sync_report_json, write_trajectories
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ from .robust import (
 )
 from .sync import IterationRecord, IterParams, SyncRun, iterative_sync
 from .synth import SceneSpec, generate_scene
-from .trajio import SyncReport, read_trajectories, write_trajectories
+from .trajio import read_trajectories, sync_report_json, write_trajectories
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -169,7 +169,7 @@ def _cmd_sync(args) -> int:
     if args.fps is not None:
         config["fps"] = args.fps
         config["beta_seconds"] = float(beta) / args.fps
-    report = SyncReport.build(
+    text = sync_report_json(
         beta=beta,
         rho=args.rho,
         model=model,
@@ -179,7 +179,6 @@ def _cmd_sync(args) -> int:
         seed=args.seed,
         config=config,
     )
-    text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -293,6 +292,8 @@ def run_sweep(config: dict) -> list[dict]:
     for a in algorithms:
         if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
+    if 0 in ds:
+        raise ValueError("sweep config 'ds': d must be nonzero")
     master = _config_value(config, "seed", int, 0)
     motion = config.get("motion", "smooth-random")
     rho = _config_value(config, "rho", float, 1.0)
@@ -359,7 +360,7 @@ def _sweep_cell(
         max_iterations=max_iters,
         seed=seed,
         rho=rho,
-        d=d if d else 1,
+        d=d if d else 1,  # iterative rows read d = 0; the loop sets its own d
     )
     try:
         if alg in ITER_KINDS:

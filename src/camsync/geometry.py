@@ -125,6 +125,13 @@ def linearize(
     if d == 0:
         raise ValueError("interpolation distance d must be nonzero")
     target = beta0 + rho * i
+    # as in build_correspondences: a camera-2 time outside [0, 2**63) has no
+    # frame, and no frame lies past MAX_FRAME
+    if not (0 <= target < 2.0**63 and math.floor(target) + d <= MAX_FRAME):
+        raise MissingFrame(
+            f"no frames at camera-2 time {target} in track {traj2.track_id} "
+            f"(i={i}, beta0={beta0}, rho={rho}, d={d})"
+        )
     j0 = math.floor(target)
     idx, present = traj2.runs(np.array([j0, j0 + d], dtype=np.int64), 0)
     if not present.all():

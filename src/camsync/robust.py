@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,9 @@ KIND_H_MIN = "h-min"
 KIND_F_7PT = "f-7pt"
 KIND_H_4PT = "h-4pt"
 
+CONFIDENCE = 0.995  # adaptive termination: wanted chance that some draw is all inliers
+REFINE_ROUNDS = 2  # post-consensus least-squares rounds
+
 
 @dataclass(frozen=True)
 class SolverKind:
@@ -83,21 +86,17 @@ def solver_kind(kind: str) -> SolverKind:
 class RansacParams:
     threshold: float = 1.0
     max_iterations: int = 1000
-    confidence: float = 0.995
     seed: int = 0
     d: int = 1
     beta0: float = 0.0
     rho: float = 1.0
     beta_max: float | None = None  # window around beta0; default 10 * max(|d|, 1)
-    refine_rounds: int = 2  # post-consensus least-squares rounds; 0 disables
 
     def __post_init__(self):
         if not self.threshold > 0:  # also rejects NaN
             raise ValueError("threshold must be positive")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must be in (0, 1)")
         if self.d == 0:
             raise ValueError("d must be nonzero")
         if not abs(self.d) <= MAX_FRAME:  # the secant's frames are int64
@@ -110,10 +109,10 @@ class RansacParams:
             raise ValueError("seed must be in [0, 2**64 - 1]")
 
     @property
-    def beta_window(self) -> float:
-        if self.beta_max is not None:
-            return self.beta_max
-        return 10.0 * max(abs(self.d), 1)
+    def window(self) -> tuple[float, float]:
+        """The (lo, hi) bounds of the shifts RANSAC accepts."""
+        half = self.beta_max if self.beta_max is not None else 10.0 * max(abs(self.d), 1)
+        return self.beta0 - half, self.beta0 + half
 
 
 @dataclass
@@ -122,8 +121,8 @@ class RansacResult:
     inlier_mask: np.ndarray
     inlier_count: int
     iterations_run: int
-    total_correspondences: int = 0
-    keys: list = field(default_factory=list)  # (track_id, frame) per correspondence
+    total_correspondences: int
+    keys: list  # (track_id, frame) per correspondence
 
 
 def _matched_tracks(
@@ -215,8 +214,10 @@ def _generate(
         return solve_min_f_beta(sub)
     if kind == KIND_H_MIN:
         return solve_min_h_beta(sub)
-    # the classical baselines: models only, the shift held at beta0
-    models = solve_7pt_f(sub) if kind == KIND_F_7PT else [solve_4pt_h(sub)]
+    # the classical baselines: models of the prediction at beta0, the shift
+    # held there
+    held = CorrSet(sub.s1, sub.u + beta0 * sub.v, sub.v)
+    models = solve_7pt_f(held) if kind == KIND_F_7PT else [solve_4pt_h(held)]
     return [
         SolverCandidate(beta=beta0, model=m, algebraic_residual=0.0) for m in models
     ]
@@ -239,23 +240,24 @@ def refine_candidate(
     kind: str,
     cand: SolverCandidate,
     mask: np.ndarray,
+    res: float,
     corr: CorrSet,
     params: RansacParams,
-) -> tuple[SolverCandidate, np.ndarray, int, float]:
+) -> tuple[SolverCandidate, np.ndarray, int]:
     """Alternate model/shift least squares over the consensus set.
 
-    Up to ``params.refine_rounds`` rounds of ``fit_model_at_beta`` then, for
-    the kinds that estimate the shift, ``fit_beta_at_model``; the classical
-    baselines keep their shift fixed at beta0. Each round is kept only if it
-    does not lose inliers; the incumbent wins ties.
+    Starts from ``cand`` with its inlier ``mask`` and summed inlier residual
+    ``res``, as ``score_candidate`` gave them. Up to ``REFINE_ROUNDS`` rounds
+    of ``fit_model_at_beta`` then, for the kinds that estimate the shift,
+    ``fit_beta_at_model``; the classical baselines keep their shift fixed at
+    beta0. Each round is kept only if it does not lose inliers; the incumbent
+    wins ties.
     """
-    best = cand
-    best_mask, best_res = score_candidate(kind, cand, corr, params.threshold)
-    best_count = int(best_mask.sum())
-    lo = params.beta0 - params.beta_window
-    hi = params.beta0 + params.beta_window
+    best, best_mask, best_res = cand, mask, res
+    best_count = int(mask.sum())
+    lo, hi = params.window
     spec = solver_kind(kind)
-    for _ in range(params.refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         idx = np.flatnonzero(best_mask)
         if len(idx) < spec.sample_size:
             break
@@ -279,7 +281,7 @@ def refine_candidate(
         if count_t < best_count or (count_t == best_count and res_t >= best_res):
             break
         best, best_mask, best_count, best_res = trial, mask_t, count_t, res_t
-    return best, best_mask, best_count, best_res
+    return best, best_mask, best_count
 
 
 def ransac_estimate(
@@ -307,8 +309,7 @@ def ransac_estimate(
     needed = params.max_iterations
     valid_draws = 0
     iterations = 0
-    lo = params.beta0 - params.beta_window
-    hi = params.beta0 + params.beta_window
+    lo, hi = params.window
     for it in range(params.max_iterations):
         if valid_draws >= needed:
             break
@@ -341,16 +342,15 @@ def ransac_estimate(
                 else:
                     needed = min(
                         params.max_iterations,
-                        math.ceil(math.log(1.0 - params.confidence) / denom),
+                        math.ceil(math.log(1.0 - CONFIDENCE) / denom),
                     )
     if best is None:
         raise AllDegenerate(
             f"no usable hypothesis in {iterations} iterations ({valid_draws} valid draws)"
         )
-    if params.refine_rounds > 0:
-        best, best_mask, best_count, _ = refine_candidate(
-            kind, best, best_mask, corr, params
-        )
+    best, best_mask, best_count = refine_candidate(
+        kind, best, best_mask, best_res, corr, params
+    )
     return RansacResult(
         best=best,
         inlier_mask=best_mask,

@@ -385,17 +385,6 @@ def solve_gep_f_beta(
 # minimal 8-point solver, hidden-variable polynomial in beta
 
 
-def _minor_nullvector(m: np.ndarray) -> np.ndarray:
-    """Nullspace of an 8x9 matrix as its nine signed 8x8 minors.
-
-    Scalar reference of ``_stacked_minor_nullvectors``, kept for the tests.
-    """
-    sub = np.stack([np.delete(m, k, axis=1) for k in range(9)])
-    dets = np.linalg.det(sub)
-    signs = np.array([(-1.0) ** k for k in range(9)])
-    return signs * dets
-
-
 # Chebyshev nodes on [-1, 1] at which det(F(beta)) is sampled
 _CHEB_NODES = np.cos(np.pi * (np.arange(40) + 0.5) / 40)
 # columns of the k-th 8x8 minor (column k deleted) and its cofactor sign
@@ -404,7 +393,8 @@ _MINOR_SIGNS = np.array([(-1.0) ** k for k in range(9)])
 
 
 def _stacked_minor_nullvectors(ms: np.ndarray) -> np.ndarray:
-    """``_minor_nullvector`` of each 8x9 matrix in a (..., 8, 9) stack.
+    """Nullspace of each 8x9 matrix in a (..., 8, 9) stack as its nine
+    signed 8x8 minors.
 
     One gather builds all (..., 9, 8, 8) minors and one stacked ``det`` takes
     them; LAPACK factors each minor as it would alone, so the bits match.
@@ -472,26 +462,23 @@ def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
 # minimal homography solver, 5 correspondences
 
 
-def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]:
+def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
     """Homography + time shift from 5 correspondences (4.5-sample problem).
 
     Uses both independent rows of the skew-symmetric constraint for the first
-    four samples and one row (``fifth_row`` in {0, 1}) for the fifth. The
-    3-dimensional nullspace of the 9x12 system is reduced, via the three
-    monomial dependencies, to a 3x3 eigenvalue problem with up to three real
-    solutions.
+    four samples and the first row for the fifth. The 3-dimensional nullspace
+    of the 9x12 system is reduced, via the three monomial dependencies, to a
+    3x3 eigenvalue problem with up to three real solutions.
     """
     if len(corr) != 5:
         raise ValueError(f"solve_min_h_beta needs 5 correspondences, got {len(corr)}")
-    if fifth_row not in (0, 1):
-        raise ValueError("fifth_row must be 0 or 1")
     ncorr, t1, t2 = _normalize_corr(corr)
     # 12-monomial basis [h11..h33, beta*h31, beta*h32, beta*h33]: the third
     # component of u + beta v is 1, so beta only multiplies the third row of H
     rows = np.hstack(
         [_skew_rows(ncorr.s1, ncorr.u), _skew_rows(ncorr.s1, ncorr.v)[:, 6:]]
     )
-    m = rows[[0, 1, 2, 3, 4, 5, 6, 7, 8 + fifth_row]]  # 9 x 12
+    m = rows[:9]  # 9 x 12
     _, sing, vt = np.linalg.svd(m)
     if sing[8] < 1e-10 * sing[0]:
         raise DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")

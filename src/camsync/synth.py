@@ -34,6 +34,8 @@ _SCENE_CENTER = np.array([0.0, 0.0, 10.0])
 _SCENE_EXTENT = np.array([3.0, 3.0, 2.0])
 _CAMERA_RADIUS = 10.0
 _MIN_ANGLE_DEG = 12.0  # smallest turn between the two cameras, for triangulation
+_IMAGE_SIZE = (1000, 1000)  # width, height in pixels
+_PROBE_PAIRS = 24  # most pairs GroundTruth.probe_pairs returns
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class SceneSpec:
     beta_gt: float = 0.0
     rho: float = 1.0
     noise_sigma: float = 0.5
-    image_size: tuple[int, int] = (1000, 1000)
     speed_px_per_frame: float = 8.0
     motion: str = SMOOTH_RANDOM
     n_tracks: int = 2
@@ -72,18 +73,16 @@ class GroundTruth:
     rho: float
     cameras: tuple[CameraCalib, CameraCalib]
     h: TwoViewModel | None = None
-    clean1: dict[str, np.ndarray] = field(default_factory=dict)  # (n,3) frame,u,v
     sync_pairs: dict[str, np.ndarray] = field(default_factory=dict)  # (n,4) x1,y1,x2,y2
-    outlier_labels: dict[str, np.ndarray] | None = None
 
-    def probe_pairs(self, max_pairs: int = 24) -> list[tuple[np.ndarray, np.ndarray]]:
+    def probe_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Clean synchronized pixel pairs, for cheirality checks and the like."""
         pairs = []
         for arr in self.sync_pairs.values():
-            step = max(1, len(arr) // max_pairs)
+            step = max(1, len(arr) // _PROBE_PAIRS)
             for row in arr[::step]:
                 pairs.append((row[:2].copy(), row[2:].copy()))
-        return pairs[:max_pairs]
+        return pairs[:_PROBE_PAIRS]
 
 
 def _look_at(position: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -108,12 +107,10 @@ def _rot_x(a: float) -> np.ndarray:
     return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
 
 
-def random_camera_pair(
-    rng: np.random.Generator, image_size: tuple[int, int]
-) -> tuple[CameraCalib, CameraCalib]:
+def random_camera_pair(rng: np.random.Generator) -> tuple[CameraCalib, CameraCalib]:
     """Camera 1 at the world origin (identity pose), camera 2 on the viewing
     sphere, _MIN_ANGLE_DEG to 40 degrees away in azimuth, up to 12 in elevation."""
-    w, h = image_size
+    w, h = _IMAGE_SIZE
     focal = rng.uniform(950.0, 1150.0)
     k = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
     cam1 = CameraCalib(K=k, R=np.eye(3), t=np.zeros(3))
@@ -191,7 +188,7 @@ def _homography_from_plane(
 
 
 def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng, spec.image_size)
+    cam1, cam2 = random_camera_pair(rng)
     f_gt = fundamental_from_calib(cam1, cam2)
     h_gt = None
     in_plane = None
@@ -229,7 +226,6 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
         pix1 = _project(cam1, spline(frames1))
         pix2 = _project(cam2, spline((frames2 - beta) / rho))
         sync2 = _project(cam2, spline(frames1))  # camera-2 view at camera-1 instants
-        gt.clean1[track] = np.column_stack([frames1, pix1])
         gt.sync_pairs[track] = np.column_stack([pix1, sync2])
         n1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         n2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
@@ -239,7 +235,7 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
 
 
 def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng, spec.image_size)
+    cam1, cam2 = random_camera_pair(rng)
     f_gt = fundamental_from_calib(cam1, cam2)
     h_gt = None
     if spec.exact_model == "H":
@@ -249,7 +245,7 @@ def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
         hinv = np.linalg.inv(h_gt.m)
 
     beta, rho = spec.beta_gt, spec.rho
-    w, h = spec.image_size
+    w, h = _IMAGE_SIZE
     center_px = np.array([w / 2.0, h / 2.0])
     frames1 = np.arange(spec.n_frames, dtype=float)
     n2 = int(math.ceil(rho * (spec.n_frames - 1) + max(beta, 0.0))) + 40
@@ -277,7 +273,6 @@ def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
             drift = rng.uniform(-60.0, 60.0, size=len(truth))
             pix1 = foot + drift[:, None] * tang
         sync2 = truth
-        gt.clean1[f"t{ti}"] = np.column_stack([frames1, pix1])
         gt.sync_pairs[f"t{ti}"] = np.column_stack([pix1, sync2])
         noise1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
         noise2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
@@ -301,7 +296,6 @@ def inject_outliers(
     traj2: list[Trajectory],
     fraction: float,
     seed: int,
-    image_size: tuple[int, int] = (1000, 1000),
 ) -> tuple[tuple[list[Trajectory], list[Trajectory]], dict[str, np.ndarray]]:
     """Replace a fraction of camera-1 points with uniform random image points.
 
@@ -322,7 +316,7 @@ def inject_outliers(
         replaced[rng.choice(sum(sizes), size=n_out, replace=False)] = True
     points = np.concatenate([np.zeros((0, 2)), *(t.points for t in traj1)])
     # a draw for u, then one for v, per replaced sample in order
-    points[replaced] = rng.uniform(0, image_size, size=(n_out, 2))
+    points[replaced] = rng.uniform(0, _IMAGE_SIZE, size=(n_out, 2))
     cuts = np.cumsum(sizes)[:-1]
     new1 = [Trajectory(t.camera_id, t.track_id, t.frames, pts)
             for t, pts in zip(traj1, np.split(points, cuts))]

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,66 +119,25 @@ def read_trajectories(path) -> dict[str, list[Trajectory]]:
         _raise_first_error(path)
 
 
-@dataclass
-class SyncReport:
-    beta: float
-    rho: float
-    model_kind: str
-    matrix: list[float]  # row-major, unit-norm
-    inliers: int
-    total: int
-    log: list[dict]
-    seed: int
-    config: dict = field(default_factory=dict)
-
-    @classmethod
-    def build(
-        cls,
-        beta: float,
-        rho: float,
-        model: TwoViewModel,
-        inliers: int,
-        total: int,
-        log: list[dict],
-        seed: int,
-        config: dict,
-    ) -> "SyncReport":
-        return cls(
-            beta=float(beta),
-            rho=float(rho),
-            model_kind=model.kind,
-            matrix=[float(x) for x in np.asarray(model.m).ravel()],
-            inliers=int(inliers),
-            total=int(total),
-            log=log,
-            seed=int(seed),
-            config=config,
-        )
-
-    def to_json(self) -> str:
-        payload = {
-            "beta": self.beta,
-            "rho": self.rho,
-            "model": {"kind": self.model_kind, "matrix": self.matrix},
-            "inliers": self.inliers,
-            "total": self.total,
-            "log": self.log,
-            "seed": self.seed,
-            "config": self.config,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyncReport":
-        data = json.loads(text)
-        return cls(
-            beta=data["beta"],
-            rho=data["rho"],
-            model_kind=data["model"]["kind"],
-            matrix=list(data["model"]["matrix"]),
-            inliers=data["inliers"],
-            total=data["total"],
-            log=data["log"],
-            seed=data["seed"],
-            config=data.get("config", {}),
-        )
+def sync_report_json(
+    beta: float,
+    rho: float,
+    model: TwoViewModel,
+    inliers: int,
+    total: int,
+    log: list[dict],
+    seed: int,
+    config: dict,
+) -> str:
+    """The sync report: sorted-key JSON with the model matrix row-major."""
+    payload = {
+        "beta": float(beta),
+        "rho": float(rho),
+        "model": {"kind": model.kind, "matrix": [float(x) for x in model.m.ravel()]},
+        "inliers": int(inliers),
+        "total": int(total),
+        "log": log,
+        "seed": int(seed),
+        "config": config,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

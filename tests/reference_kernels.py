@@ -178,6 +178,15 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     return candidates
 
 
+def minor_nullvector(m: np.ndarray) -> np.ndarray:
+    """Nullspace of an 8x9 matrix as its nine signed 8x8 minors: one matrix
+    of ``solvers._stacked_minor_nullvectors``'s stack."""
+    sub = np.stack([np.delete(m, k, axis=1) for k in range(9)])
+    dets = np.linalg.det(sub)
+    signs = np.array([(-1.0) ** k for k in range(9)])
+    return signs * dets
+
+
 def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
@@ -222,16 +231,14 @@ def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
     return candidates
 
 
-def solve_min_h_beta(corr: CorrSet, fifth_row: int = 0) -> list[SolverCandidate]:
+def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
     if len(corr) != 5:
         raise ValueError(f"solve_min_h_beta needs 5 correspondences, got {len(corr)}")
-    if fifth_row not in (0, 1):
-        raise ValueError("fifth_row must be 0 or 1")
     ncorr, t1, t2 = normalize_corr(corr)
     rows = np.hstack(
         [_skew_rows(ncorr.s1, ncorr.u), _skew_rows(ncorr.s1, ncorr.v)[:, 6:]]
     )
-    m = rows[[0, 1, 2, 3, 4, 5, 6, 7, 8 + fifth_row]]
+    m = rows[[0, 1, 2, 3, 4, 5, 6, 7, 8]]
     _, sing, vt = np.linalg.svd(m)
     if sing[8] < 1e-10 * sing[0]:
         raise DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")

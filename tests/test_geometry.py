@@ -133,6 +133,12 @@ class TestLinearize:
         traj = line_trajectory([0, 0], [1, 1], n=10)
         with pytest.raises(MissingFrame):
             linearize(traj, i=9, beta0=0.0, rho=1.0, d=1)
+        # camera-2 times whose secant frames do not fit int64; at 2**63 - 1024
+        # the anchor fits and the far end does not
+        for beta0, d in ((1e19, 1), (-1e19, 1), (9.3e18, 1), (float("nan"), 1),
+                         (2.0**63 - 1024, 5000)):
+            with pytest.raises(MissingFrame):
+                linearize(traj, i=0, beta0=beta0, rho=1.0, d=d)
 
     def test_missing_frame_in_gap(self):
         frames = [0, 1, 2, 5, 6, 7]

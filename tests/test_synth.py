@@ -75,12 +75,10 @@ class TestSmoothScenes:
         t1, _, gt = generate_scene(spec)
         deltas = []
         for t in t1:
-            clean = gt.clean1[t.track_id]
-            lookup = {int(f): (u, v) for f, u, v in clean}
-            for s in t.samples:
-                cu, cv = lookup[s.frame]
-                deltas.extend([s.u - cu, s.v - cv])
-        assert np.std(deltas) == pytest.approx(1.5, rel=0.05)
+            # camera 1 samples frames 0 .. n_frames - 1, the rows of sync_pairs
+            assert t.frames.tolist() == list(range(spec.n_frames))
+            deltas.append(t.points - gt.sync_pairs[t.track_id][:, :2])
+        assert np.std(np.concatenate(deltas)) == pytest.approx(1.5, rel=0.05)
 
     def test_planar_scene_has_homography(self):
         _, _, gt = generate_scene(
@@ -192,8 +190,8 @@ class TestInjectOutliers:
 class TestGroundTruthProbes:
     def test_probe_pairs_are_clean_and_bounded(self):
         _, _, gt = generate_scene(SceneSpec(seed=12, noise_sigma=0.5))
-        pairs = gt.probe_pairs(max_pairs=16)
-        assert 0 < len(pairs) <= 16
+        pairs = gt.probe_pairs()
+        assert len(pairs) == 24  # two tracks of 25 rows each, cut at the bound
         for a, b in pairs:
             x1 = np.append(a, 1.0)
             x2 = np.append(b, 1.0)
