@@ -49,6 +49,7 @@ from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, epipolar_constraint
 IMAG_TOL = 1e-6
 BETA_SPAN = 16.0  # solve_min_f_beta samples det F(beta) on [-BETA_SPAN, BETA_SPAN]
 RESIDUAL_TOL = 1e-6  # and drops the roots whose residual exceeds RESIDUAL_TOL
+COLLINEAR_TOL = 1e-9  # triangle area, relative to the squared coordinate scale
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -541,7 +542,7 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
     return models
 
 
-def _collinear_triple(points: np.ndarray, tol: float = 1e-9) -> bool:
+def _collinear_triple(points: np.ndarray) -> bool:
     """True when any 3 of the given 2D points are collinear (area test)."""
     n = points.shape[0]
     scale = max(1.0, np.abs(points).max())
@@ -552,7 +553,7 @@ def _collinear_triple(points: np.ndarray, tol: float = 1e-9) -> bool:
                 area = abs(
                     (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
                 )
-                if area < tol * scale * scale:
+                if area < COLLINEAR_TOL * scale * scale:
                     return True
     return False
 

@@ -1,13 +1,17 @@
 """Iterative large-offset synchronization.
 
-Greedy loop over integer frame offsets: each iteration runs RANSAC twice,
-interpolating from both the next and the previous d-th sample, keeps the
-direction with more inliers, and either advances the offset by the rounded
-shift estimate or widens the interpolation distance through powers of two
-(cycling back to 2^0 after 2^p_max). The loop stops once every distance has
-been tried without improvement at the current offset, or after k_max accepted
-steps. The recovered total shift is the accumulated integer offset plus the
-last accepted subframe estimate.
+Greedy loop over integer frame offsets. Each iteration runs RANSAC from the
+next and then the previous d-th sample and keeps the result with strictly more
+inliers (so +d wins a tie). It accepts that step when it has more inliers than
+the last accepted step and the offset it moves to still has enough d = 1 rows
+for a minimal sample: the offset advances by the rounded shift estimate.
+Otherwise it widens the interpolation distance through powers of two (cycling
+back to 2^0 after 2^p_max). A direction without enough rows to sample is
+passed over; if neither direction of the first iteration has them, the +d
+call's ``NotEnoughCorrespondences`` is raised. The loop stops once every
+distance has been tried without improvement at the current offset, or after
+k_max accepted steps. The recovered total shift is the accumulated integer
+offset plus the last accepted subframe estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .robust import (
 )
 # not called here; the benchmark's traced run wraps this binding
 from .robust import build_correspondences  # noqa: F401
-from .solvers import SolverCandidate
 
 
 @dataclass(frozen=True)
@@ -80,24 +83,16 @@ def _derived_seed(seed: int, k: int, direction: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _enough_overlap(
-    traj1: list[Trajectory], traj2: list[Trajectory], beta0: float, rho: float, kind: str
-) -> bool:
-    return count_correspondences(traj1, traj2, beta0, rho, d=1) >= solver_kind(kind).sample_size
-
-
 def iterative_sync(
     traj1: list[Trajectory], traj2: list[Trajectory], params: IterParams
 ) -> SyncRun:
     """Recover a time shift of up to hundreds of frames; see module docstring."""
     rho = params.ransac.rho
+    need = solver_kind(params.kind).sample_size  # d = 1 rows a new offset must keep
     offset = 0  # accumulated integer camera-2 offset (j - i)
     p = params.p_min
     skipped = 0
-    last_inliers = 0
-    last_total = 0
-    last_beta_rel: float | None = None
-    last_model = None
+    last: tuple[RansacResult, float] | None = None  # last accepted result, beta_rel
     log: list[IterationRecord] = []
     calls = 0
     accepted_steps = 0
@@ -105,65 +100,55 @@ def iterative_sync(
     while accepted_steps + 1 < params.k_max and skipped <= params.p_max:
         k = accepted_steps + 1  # k advances only on an accepted step
         d = 2**p
-        results: list[tuple[int, RansacResult | None]] = []
+        found: tuple[int, RansacResult] | None = None
+        short: list[NotEnoughCorrespondences] = []
         for direction in (+1, -1):
-            rp = replace(
-                params.ransac,
-                seed=_derived_seed(params.ransac.seed, k, direction),
-                d=direction * d,
-                beta0=float(offset),
-            )
+            seed = _derived_seed(params.ransac.seed, k, direction)
+            rp = replace(params.ransac, seed=seed, d=direction * d, beta0=float(offset))
             calls += 1
             try:
-                results.append((direction, ransac_estimate(traj1, traj2, params.kind, rp)))
-            except NotEnoughCorrespondences:
-                if not log:
-                    raise
-                results.append((direction, None))
-        usable = [(dr, r) for dr, r in results if r is not None]
-        improved = False
-        if usable:
-            # tie on inliers prefers the +d direction (listed first)
-            direction, res = max(usable, key=lambda pr: pr[1].inlier_count)
-            best: SolverCandidate = res.best
-            beta_rel = best.beta - offset
-            step = _round_half_away(beta_rel)
-            in_bounds = _enough_overlap(traj1, traj2, float(offset + step), rho, params.kind)
-            improved = res.inlier_count > last_inliers and in_bounds
+                res = ransac_estimate(traj1, traj2, params.kind, rp)
+            except NotEnoughCorrespondences as exc:
+                short.append(exc)
+                continue
+            # strictly more inliers: on a tie the +d result, tried first, stays
+            if found is None or res.inlier_count > found[1].inlier_count:
+                found = (direction, res)
+        if found is None:  # neither direction has the rows to sample
+            if not log:
+                raise short[0]
+            skipped += 1
+            p = (p + 1) % (params.p_max + 1)
+            continue
+        direction, res = found
+        beta_rel = res.best.beta - offset
+        step = _round_half_away(beta_rel)
+        improved = res.inlier_count > (last[0].inlier_count if last else 0) and (
+            count_correspondences(traj1, traj2, float(offset + step), rho, d=1) >= need
+        )
         if improved:
             offset += step
-            last_inliers = res.inlier_count
-            last_total = res.total_correspondences
-            last_beta_rel = beta_rel
-            last_model = best.model
+            last = (res, beta_rel)
             skipped = 0
             accepted_steps += 1
         else:
             skipped += 1
-            p = p + 1 if p < params.p_max else 0
-        if usable:
-            log.append(
-                IterationRecord(
-                    k=k,
-                    d=direction * d,
-                    direction=direction,
-                    inlier_count=res.inlier_count,
-                    beta_k=beta_rel,
-                    accepted=improved,
-                    j_after=offset,
-                    skipped_after=skipped,
-                )
-            )
+            p = (p + 1) % (params.p_max + 1)
+        log.append(IterationRecord(
+            k=k, d=direction * d, direction=direction, inlier_count=res.inlier_count,
+            beta_k=beta_rel, accepted=improved, j_after=offset, skipped_after=skipped,
+        ))
 
-    if last_model is None or last_beta_rel is None:
+    if last is None:
         raise NeverImproved("no iteration ever beat zero inliers", log=log)
+    res, beta_rel = last
     # traveled offset plus the last accepted estimate, taken at the offset it
     # was estimated from (its rounded part is already inside `offset`)
     return SyncRun(
-        beta_total=offset - _round_half_away(last_beta_rel) + last_beta_rel,
-        model=last_model,
+        beta_total=offset - _round_half_away(beta_rel) + beta_rel,
+        model=res.best.model,
         iterations=log,
         ransac_calls=calls,
         accepted_steps=accepted_steps,
-        total_correspondences=last_total,
+        total_correspondences=res.total_correspondences,
     )

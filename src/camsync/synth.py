@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import UnreachableSpeed
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, Trajectory, TwoViewModel
+from .geometry import HOMOGRAPHY, Trajectory, TwoViewModel
 from .pose import CameraCalib, fundamental_from_calib, relative_pose
 
 SMOOTH_RANDOM = "smooth-random"
@@ -52,9 +52,14 @@ class SceneSpec:
     waypoint_spacing: float = 25.0  # frames between spline waypoints
 
     def __post_init__(self):
+        for name in ("beta_gt", "rho", "noise_sigma", "speed_px_per_frame"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_frames < 10:
             raise ValueError("n_frames must be >= 10")
-        if self.waypoint_spacing <= 0:
+        if self.n_tracks < 1:
+            raise ValueError("n_tracks must be >= 1")
+        if not self.waypoint_spacing > 0:  # NaN too; inf gives the fewest waypoints
             raise ValueError("waypoint_spacing must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
@@ -137,10 +142,11 @@ def _spline_path(
     cam1: CameraCalib,
     frames1: np.ndarray,
     target_speed: float,
-    in_plane: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    waypoint_spacing: float = 25.0,
+    in_plane: tuple[np.ndarray, np.ndarray] | None,
+    waypoint_spacing: float,
 ) -> CubicSpline:
-    """Waypoint spline with image speed calibrated against camera 1."""
+    """Waypoint spline with image speed calibrated against camera 1; with
+    ``in_plane`` (two orthonormal directions) the waypoints span that plane."""
     n_way = max(4, int((t_hi - t_lo) / waypoint_spacing) + 2)
     times = np.linspace(t_lo, t_hi, n_way)
     # waypoints must stay well inside the camera sphere; past it the
@@ -151,7 +157,7 @@ def _spline_path(
         if in_plane is None:
             offs = rng.uniform(-1.0, 1.0, size=(n_way, 3)) * _SCENE_EXTENT
         else:
-            e1, e2, _ = in_plane
+            e1, e2 = in_plane
             ab = rng.uniform(-1.0, 1.0, size=(n_way, 2)) * _SCENE_EXTENT[:2]
             offs = ab[:, :1] * e1 + ab[:, 1:] * e2
         pos = _SCENE_CENTER + offs
@@ -176,31 +182,25 @@ def _spline_path(
     )
 
 
-def _homography_from_plane(
-    cam1: CameraCalib, cam2: CameraCalib, normal: np.ndarray, point: np.ndarray
-) -> TwoViewModel:
-    """Homography induced by the world plane through `point` with `normal`."""
+def _random_plane(
+    rng: np.random.Generator, cam1: CameraCalib, cam2: CameraCalib
+) -> tuple[tuple[np.ndarray, np.ndarray], TwoViewModel]:
+    """A random world plane through the scene center, facing the cameras: two
+    orthonormal in-plane directions and the homography the plane induces."""
+    normal = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
+    normal = normal / np.linalg.norm(normal)
+    e1 = np.cross(normal, [0.0, 1.0, 0.0])
+    e1 = e1 / np.linalg.norm(e1)
     r, t = relative_pose(cam1, cam2)
     n1 = cam1.R @ normal
-    d1 = float(normal @ point - normal @ cam1.center)
+    d1 = float(normal @ _SCENE_CENTER - normal @ cam1.center)
     h = cam2.K @ (r + np.outer(t, n1) / d1) @ np.linalg.inv(cam1.K)
-    return TwoViewModel.normalized(HOMOGRAPHY, h)
+    return (e1, np.cross(normal, e1)), TwoViewModel.normalized(HOMOGRAPHY, h)
 
 
-def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng)
-    f_gt = fundamental_from_calib(cam1, cam2)
-    h_gt = None
-    in_plane = None
-    if spec.motion == PLANAR_SMOOTH:
-        normal = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
-        normal = normal / np.linalg.norm(normal)
-        e1 = np.cross(normal, [0.0, 1.0, 0.0])
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        in_plane = (e1, e2, normal)
-        h_gt = _homography_from_plane(cam1, cam2, normal, _SCENE_CENTER)
-
+def _smooth_family(spec: SceneSpec, gt: GroundTruth, in_plane):
+    """Frames and track maker of the spline families (planar with `in_plane`)."""
+    cam1, cam2 = gt.cameras
     beta, rho = spec.beta_gt, spec.rho
     pad = 40.0 + abs(beta) / rho
     t_lo, t_hi = -pad, (spec.n_frames - 1) + pad
@@ -209,86 +209,76 @@ def _smooth_scene(spec: SceneSpec, rng: np.random.Generator):
     frames2 = np.arange(0, max(j_max, 1), dtype=float)
     frames2 = frames2[(frames2 - beta) / rho > t_lo + 1.0]
 
-    gt = GroundTruth(f=f_gt, h=h_gt, beta_gt=beta, rho=rho, cameras=(cam1, cam2))
-    traj1, traj2 = [], []
-    for ti in range(spec.n_tracks):
-        spline = _spline_path(
-            rng,
-            t_lo,
-            t_hi,
-            cam1,
-            frames1,
-            spec.speed_px_per_frame,
-            in_plane,
-            spec.waypoint_spacing,
-        )
-        track = f"t{ti}"
+    def track(rng: np.random.Generator):
+        spline = _spline_path(rng, t_lo, t_hi, cam1, frames1, spec.speed_px_per_frame,
+                              in_plane, spec.waypoint_spacing)
         pix1 = _project(cam1, spline(frames1))
         pix2 = _project(cam2, spline((frames2 - beta) / rho))
         sync2 = _project(cam2, spline(frames1))  # camera-2 view at camera-1 instants
-        gt.sync_pairs[track] = np.column_stack([pix1, sync2])
-        n1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
-        n2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
-        traj1.append(Trajectory("cam1", track, frames1.astype(np.int64), pix1 + n1))
-        traj2.append(Trajectory("cam2", track, frames2.astype(np.int64), pix2 + n2))
-    return traj1, traj2, gt
+        return pix1, pix2, sync2
+
+    return frames1, frames2, track
 
 
-def _exact_linear_scene(spec: SceneSpec, rng: np.random.Generator):
-    cam1, cam2 = random_camera_pair(rng)
-    f_gt = fundamental_from_calib(cam1, cam2)
-    h_gt = None
-    if spec.exact_model == "H":
-        normal = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
-        normal = normal / np.linalg.norm(normal)
-        h_gt = _homography_from_plane(cam1, cam2, normal, _SCENE_CENTER)
-        hinv = np.linalg.inv(h_gt.m)
-
+def _exact_linear_family(spec: SceneSpec, gt: GroundTruth):
+    """Frames and track maker of exact-linear scenes (identifiable H with `gt.h`)."""
     beta, rho = spec.beta_gt, spec.rho
-    w, h = _IMAGE_SIZE
-    center_px = np.array([w / 2.0, h / 2.0])
+    image_wh = np.array(_IMAGE_SIZE, dtype=float)
+    center_px = image_wh / 2.0
     frames1 = np.arange(spec.n_frames, dtype=float)
     n2 = int(math.ceil(rho * (spec.n_frames - 1) + max(beta, 0.0))) + 40
     frames2 = np.arange(n2, dtype=float)
+    hinv = None if gt.h is None else np.linalg.inv(gt.h.m)
 
-    gt = GroundTruth(f=f_gt, h=h_gt, beta_gt=beta, rho=rho, cameras=(cam1, cam2))
-    traj1, traj2 = [], []
-    for ti in range(spec.n_tracks):
-        a = center_px + rng.uniform(-0.25, 0.25, size=2) * np.array([w, h])
+    def track(rng: np.random.Generator):
+        a = center_px + rng.uniform(-0.25, 0.25, size=2) * image_wh
         ang = rng.uniform(0.0, 2.0 * math.pi)
         vel = spec.speed_px_per_frame * np.array([math.cos(ang), math.sin(ang)])
         pix2 = a + frames2[:, None] * vel
         truth = a + (beta + rho * frames1)[:, None] * vel  # exact correspondences
-        if spec.exact_model == "H":
+        if hinv is not None:
             back = np.column_stack([truth, np.ones(len(truth))]) @ hinv.T
-            pix1 = back[:, :2] / back[:, 2:3]
-        else:
-            # place camera-1 points on the epipolar lines of the true points
-            lines = np.column_stack([truth, np.ones(len(truth))]) @ f_gt.m
-            anchor = center_px + rng.uniform(-0.2, 0.2, size=2) * np.array([w, h])
-            anchor_h = np.array([anchor[0], anchor[1], 1.0])
-            g2 = lines[:, 0] ** 2 + lines[:, 1] ** 2
-            foot = anchor[None, :] - (lines @ anchor_h / g2)[:, None] * lines[:, :2]
-            tang = np.column_stack([-lines[:, 1], lines[:, 0]]) / np.sqrt(g2)[:, None]
-            drift = rng.uniform(-60.0, 60.0, size=len(truth))
-            pix1 = foot + drift[:, None] * tang
-        sync2 = truth
-        gt.sync_pairs[f"t{ti}"] = np.column_stack([pix1, sync2])
-        noise1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
-        noise2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
-        traj1.append(Trajectory("cam1", f"t{ti}", frames1.astype(np.int64), pix1 + noise1))
-        traj2.append(Trajectory("cam2", f"t{ti}", frames2.astype(np.int64), pix2 + noise2))
-    return traj1, traj2, gt
+            return back[:, :2] / back[:, 2:3], pix2, truth
+        # place camera-1 points on the epipolar lines of the true points
+        lines = np.column_stack([truth, np.ones(len(truth))]) @ gt.f.m
+        anchor = center_px + rng.uniform(-0.2, 0.2, size=2) * image_wh
+        anchor_h = np.array([anchor[0], anchor[1], 1.0])
+        g2 = lines[:, 0] ** 2 + lines[:, 1] ** 2
+        foot = anchor[None, :] - (lines @ anchor_h / g2)[:, None] * lines[:, :2]
+        tang = np.column_stack([-lines[:, 1], lines[:, 0]]) / np.sqrt(g2)[:, None]
+        drift = rng.uniform(-60.0, 60.0, size=len(truth))
+        return foot + drift[:, None] * tang, pix2, truth
+
+    return frames1, frames2, track
 
 
 def generate_scene(
     spec: SceneSpec,
 ) -> tuple[list[Trajectory], list[Trajectory], GroundTruth]:
-    """Deterministic scene generation; see module docstring for the families."""
+    """Deterministic scene generation; see module docstring for the families.
+
+    Draws the camera pair, the plane of a planar-smooth or exact-linear H scene,
+    then per track the family's draws and the camera-1 and camera-2 pixel noise."""
     rng = np.random.default_rng(spec.seed)
-    if spec.motion == EXACT_LINEAR:
-        return _exact_linear_scene(spec, rng)
-    return _smooth_scene(spec, rng)
+    cam1, cam2 = random_camera_pair(rng)
+    exact = spec.motion == EXACT_LINEAR
+    planar = spec.motion == PLANAR_SMOOTH or (exact and spec.exact_model == "H")
+    in_plane, h = _random_plane(rng, cam1, cam2) if planar else (None, None)
+    gt = GroundTruth(f=fundamental_from_calib(cam1, cam2), h=h, beta_gt=spec.beta_gt,
+                     rho=spec.rho, cameras=(cam1, cam2))
+    frames1, frames2, track = (
+        _exact_linear_family(spec, gt) if exact else _smooth_family(spec, gt, in_plane)
+    )
+    traj1, traj2 = [], []
+    for ti in range(spec.n_tracks):
+        name = f"t{ti}"
+        pix1, pix2, sync2 = track(rng)
+        gt.sync_pairs[name] = np.column_stack([pix1, sync2])
+        noise1 = rng.normal(0.0, spec.noise_sigma, size=pix1.shape)
+        noise2 = rng.normal(0.0, spec.noise_sigma, size=pix2.shape)
+        traj1.append(Trajectory("cam1", name, frames1, pix1 + noise1))
+        traj2.append(Trajectory("cam2", name, frames2, pix2 + noise2))
+    return traj1, traj2, gt
 
 
 def inject_outliers(

@@ -184,11 +184,39 @@ class TestCliSynth:
         assert len(payload["f"]) == 9
         assert len(payload["cameras"]) == 2
 
-    def test_invalid_spec_is_input_error(self, tmp_path):
+    def test_invalid_spec_is_input_error(self, tmp_path, capsys):
         rc = main([
             "synth", "--frames", "3", "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == EXIT_INPUT
+        # non-finite values end in an error that names the field, not a traceback
+        for option, value, field in (
+            ("--rho", "inf", "rho"),
+            ("--beta", "inf", "beta_gt"),
+            ("--beta", "-inf", "beta_gt"),
+            ("--beta", "nan", "beta_gt"),
+            ("--rho", "nan", "rho"),
+            ("--noise", "inf", "noise_sigma"),
+            ("--speed", "nan", "speed_px_per_frame"),
+            ("--spacing", "nan", "waypoint_spacing"),
+        ):
+            capsys.readouterr()
+            rc = main(["synth", f"{option}={value}", "--out", str(tmp_path / "x.csv")])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INPUT, (option, value)
+            assert err.startswith(f"error: {field} must be"), err
+
+    def test_infinite_spacing_is_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--spacing", "inf", "--out", str(out)]) == EXIT_OK
+        assert len(read_trajectories(out)) == 2
+
+    def test_no_tracks_is_input_error_and_writes_nothing(self, tmp_path, capsys):
+        for tracks in ("0", "-1"):
+            out = tmp_path / f"tracks{tracks}.csv"
+            assert main(["synth", "--tracks", tracks, "--out", str(out)]) == EXIT_INPUT
+            assert capsys.readouterr().err == "error: n_tracks must be >= 1\n"
+            assert not out.exists()
 
 
 def test_python_dash_m_runs_the_cli():

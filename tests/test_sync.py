@@ -9,10 +9,11 @@ from camsync import (
     NotEnoughCorrespondences,
     RansacParams,
     SceneSpec,
+    Trajectory,
     generate_scene,
     iterative_sync,
 )
-from camsync.robust import KIND_F_GEP
+from camsync.robust import KIND_F_GEP, KIND_H_MIN
 from camsync.sync import SyncRun, _round_half_away
 
 
@@ -150,3 +151,44 @@ class TestIterativeSync:
         run = iterative_sync(t1, t2, loop_params(seed=12, k_max=6, p_max=2))
         assert isinstance(run, SyncRun)
         assert run.accepted_steps == sum(1 for r in run.iterations if r.accepted)
+
+
+class TestFirstIteration:
+    """A direction without enough rows is passed over, even on the first pass."""
+
+    def test_one_short_direction_does_not_end_the_sync(self, monkeypatch):
+        import camsync.sync as sync_mod
+
+        real = sync_mod.ransac_estimate
+
+        def plus_only(traj1, traj2, kind, params):
+            if params.d < 0:
+                raise NotEnoughCorrespondences(f"no rows at d={params.d}")
+            return real(traj1, traj2, kind, params)
+
+        monkeypatch.setattr(sync_mod, "ransac_estimate", plus_only)
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=4, beta_gt=12.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
+            waypoint_spacing=300.0, speed_px_per_frame=4.0,
+        ))
+        run = iterative_sync(t1, t2, loop_params(seed=4))
+        assert abs(run.beta_total - 12.0) < 1.0
+        assert run.ransac_calls == 2 * len(run.iterations)
+        assert all(r.direction == 1 for r in run.iterations)
+
+    def test_three_frame_tracks(self):
+        # camera-1 frames 0..2: h-min has 3 rows per track at d = +1 and 2 at d = -1
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=1, noise_sigma=0.0, n_frames=40, motion="planar-smooth",
+        ))
+        short = [Trajectory(t.camera_id, t.track_id, t.frames[:3], t.points[:3]) for t in t1]
+        params = IterParams(
+            kind=KIND_H_MIN, k_max=4, p_max=1,
+            ransac=RansacParams(seed=0, max_iterations=50, threshold=3.0),
+        )
+        run = iterative_sync(short, t2, params)
+        assert abs(run.beta_total) < 1e-6
+        assert run.iterations[0].inlier_count == 6
+        # one track: neither direction has 5 rows, and the +d error is raised
+        with pytest.raises(NotEnoughCorrespondences, match="^3 valid correspondences"):
+            iterative_sync(short[:1], t2, params)

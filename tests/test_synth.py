@@ -35,6 +35,14 @@ class TestSceneSpec:
             SceneSpec(exact_model="E")
         with pytest.raises(ValueError):
             SceneSpec(waypoint_spacing=0.0)
+        with pytest.raises(ValueError, match="n_tracks must be >= 1"):
+            SceneSpec(n_tracks=0)
+        for name in ("beta_gt", "rho", "noise_sigma", "speed_px_per_frame"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SceneSpec(**{name: value})
+        with pytest.raises(ValueError, match="waypoint_spacing must be positive"):
+            SceneSpec(waypoint_spacing=float("nan"))
 
 
 class TestSmoothScenes:
