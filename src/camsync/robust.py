@@ -206,12 +206,12 @@ def build_correspondences(
 def _generate(
     kind: str, sub: CorrSet, beta0: float, window: tuple[float, float]
 ) -> list[SolverCandidate]:
-    # f-gep builds no model for a shift outside the window; the other solvers'
-    # per-root filters decide whether a draw is valid, so they build them all
+    # the F solvers build no model for a shift outside the window; h-min's
+    # per-root filters decide whether a draw is valid, so it builds them all
     if kind == KIND_F_GEP:
         return solve_gep_f_beta(sub, window)
     if kind == KIND_F_MIN:
-        return solve_min_f_beta(sub)
+        return solve_min_f_beta(sub, window)
     if kind == KIND_H_MIN:
         return solve_min_h_beta(sub)
     # the classical baselines: models of the prediction at beta0, the shift

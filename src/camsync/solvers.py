@@ -10,8 +10,8 @@ scale.
 Solvers:
   - solve_gep_f_beta: 9 correspondences, generalized eigenvalue problem,
     compressed to 6x6 using the rank deficiency of the beta coefficient matrix.
-  - solve_min_f_beta: 8 correspondences plus det(F) = 0, hidden-variable
-    elimination producing a univariate polynomial in beta.
+  - solve_min_f_beta: 8 correspondences plus det(F) = 0; the same compression
+    to a 5x6 pencil makes it a degree-16 polynomial, sampled on the window.
   - solve_min_h_beta: 5 correspondences (two equations each for four, one for
     the fifth), nullspace parametrization and a 3x3 eigenvalue problem.
   - solve_7pt_f / solve_4pt_h: classical baselines ignoring the time shift.
@@ -23,13 +23,13 @@ conditions both images with isotropic (Hartley-style) normalization, maps its
 matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
 their residual-sorted candidates with ``_candidates``.
 
-The GEP solver runs inside RANSAC on 9-row arrays, where numpy's per-call
-overhead costs more than the arithmetic. So it calls LAPACK directly:
-``dgeqrf`` and ``dorgqr`` for the compression, ``dggev`` for the pencil and
-``dgelsd`` for the back-substitution. Each call gives the bits of the numpy
-or scipy function it stands for (``np.linalg.qr``, ``scipy.linalg.eig``,
-``np.linalg.lstsq``), as do the normalization's and the residuals' written-out
-reductions; ``tests/reference_kernels.py`` holds those plain forms.
+The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
+overhead costs more than the arithmetic. So they call LAPACK directly:
+``dgeqrf`` and ``dorgqr`` for the compression, ``dggev`` for the pencil,
+``dgelsd`` and ``dtrtrs`` for the back-substitutions. Each call gives the bits
+of the numpy or scipy function it stands for, as do the stacked minors and
+the written-out reductions; ``tests/reference_kernels.py`` holds those plain
+forms.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dggev, dorgqr
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dggev, dorgqr, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
 from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, epipolar_constraint
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
-BETA_SPAN = 16.0  # solve_min_f_beta samples det F(beta) on [-BETA_SPAN, BETA_SPAN]
+BETA_SPAN = 16.0  # solve_min_f_beta without a window samples on [-BETA_SPAN, BETA_SPAN]
 RESIDUAL_TOL = 1e-6  # and drops the roots whose residual exceeds RESIDUAL_TOL
 COLLINEAR_TOL = 1e-9  # triangle area, relative to the squared coordinate scale
 _SQRT2 = np.sqrt(2.0)
@@ -325,12 +325,11 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:n, 0]
 
 
-def _complete_q(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.qr(a, mode="complete")[0]`` for a tall a, bit for bit.
-
+def _complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.qr(a, mode="complete")`` for a tall m x n a, bit for bit:
     ``dgeqrf`` then ``dorgqr`` on the m x m matrix that holds the reflectors
-    in its first columns, as numpy does; returned in numpy's C order.
-    """
+    in its first columns, as numpy does. Q comes in C order, and R as the
+    upper triangle of an n x n block whose lower part holds reflectors."""
     m, n = a.shape
     qr, tau, _, info = dgeqrf(a)
     full = np.empty((m, m), order="F")
@@ -338,7 +337,7 @@ def _complete_q(a: np.ndarray) -> np.ndarray:
     q, _, info2 = dorgqr(full, tau, overwrite_a=1)
     if info or info2:
         raise np.linalg.LinAlgError("QR factorization failed")
-    return np.ascontiguousarray(q)
+    return np.ascontiguousarray(q), qr[:n]
 
 
 def solve_gep_f_beta(
@@ -362,7 +361,7 @@ def solve_gep_f_beta(
     m1, m2 = build_f_pencil(ncorr)
     # columns 6..8 (third row of F) carry no beta term
     b3 = m1[:, 6:9]
-    q2 = _complete_q(b3)[:, 3:]
+    q2 = _complete_qr(b3)[0][:, 3:]
     a6 = q2.T @ m1[:, :6]
     c6 = q2.T @ m2[:, :6]
     values, vectors = _ggev(a6, -c6)
@@ -383,80 +382,78 @@ def solve_gep_f_beta(
 
 
 # ---------------------------------------------------------------------------
-# minimal 8-point solver, hidden-variable polynomial in beta
+# minimal 8-point solver, det F(beta) = 0 as a degree-16 polynomial
 
 
-# Chebyshev nodes on [-1, 1] at which det(F(beta)) is sampled
-_CHEB_NODES = np.cos(np.pi * (np.arange(40) + 0.5) / 40)
-# columns of the k-th 8x8 minor (column k deleted) and its cofactor sign
-_MINOR_COLS = np.array([[c for c in range(9) if c != k] for k in range(9)])
-_MINOR_SIGNS = np.array([(-1.0) ** k for k in range(9)])
+# 17 Chebyshev nodes on [-1, 1] and the inverse of their Chebyshev-Vandermonde
+# matrix, which maps samples at the nodes to the degree-16 interpolant
+_NODES = np.cos(np.pi * (np.arange(17) + 0.5) / 17)
+_NODES_TO_CHEB = np.linalg.inv(np.polynomial.chebyshev.chebvander(_NODES, 16))
+# columns of the k-th 5x5 minor of a 5x6 matrix (column k deleted) and its sign
+_MINOR5_COLS = np.array([[c for c in range(6) if c != k] for k in range(6)])
+_MINOR5_SIGNS = np.array([(-1.0) ** k for k in range(6)])
 
 
-def _stacked_minor_nullvectors(ms: np.ndarray) -> np.ndarray:
-    """Nullspace of each 8x9 matrix in a (..., 8, 9) stack as its nine
-    signed 8x8 minors.
-
-    One gather builds all (..., 9, 8, 8) minors and one stacked ``det`` takes
-    them; LAPACK factors each minor as it would alone, so the bits match.
-    """
-    sub = np.swapaxes(ms[..., _MINOR_COLS], -3, -2)
-    return _MINOR_SIGNS * np.linalg.det(sub)
-
-
-def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
+def solve_min_f_beta(
+    corr: CorrSet, window: tuple[float, float] | None = None
+) -> list[SolverCandidate]:
     """Minimal fundamental matrix + time shift from 8 correspondences.
 
-    Hidden-variable technique: for fixed beta the 8 epipolar constraints are
-    linear in F, with nullspace given by the signed 8x8 minors of the 8x9
-    system, each a polynomial of degree <= 8 in beta. Substituting into
-    det(F) = 0 yields a univariate polynomial of degree <= 24 whose real roots
-    are candidate shifts. Coefficients are recovered by evaluation at 40
-    Chebyshev nodes on [-BETA_SPAN, BETA_SPAN] and the roots by the companion
-    (colleague) matrix.
-
-    Each stage runs as one stacked LAPACK call per draw: the 40 x 9 minors
-    in one ``det``, the 40 sampled determinants in another, and the
-    nullspaces of all real roots in one ``svd``. Roots whose 8x9 system has
-    rank below 8, whose F is not singular (|det F| > 1e-8) or whose
-    residual exceeds ``RESIDUAL_TOL`` are dropped.
+    The QR of ``solve_gep_f_beta`` splits (M1 + beta M2) f = 0 into a 5x6
+    pencil (A + beta C) f6 = 0 and a triangular R f3 = -(A3 + beta C3) f6.
+    f6 is the pencil's six signed 5x5 minors, of degree <= 5, so f3 has
+    degree <= 6 and det F = (f6[:3] x f6[3:]) . f3 has degree <= 16. It is
+    sampled at 17 Chebyshev nodes on ``window = (lo, hi)``, or on
+    [-BETA_SPAN, BETA_SPAN] without one or for an empty or unbounded one,
+    and its roots come from the colleague matrix. Only the real roots in the
+    window get models: the pencil's SVD gives f6 and drops a root of rank
+    below 5, and a residual above ``RESIDUAL_TOL`` drops a candidate. As for
+    ``solve_gep_f_beta``, real roots all outside the window give [], and no
+    real root raises ``NoRealSolution``.
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
     ncorr, t1, t2 = _normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
+    q, r = _complete_qr(m1[:, 6:9])
+    a, c = q.T @ m1[:, :6], q.T @ m2[:, :6]
+    a5, c5 = a[3:], c[3:]
+    # f3 = -(g[:, :6] + beta g[:, 6:]) f6; dtrtrs reads only r's upper triangle
+    g, info = dtrtrs(r, np.hstack([a[:3], c[:3]]))
+    if info != 0:
+        raise DegenerateInput("camera-1 points collinear, R is singular")
 
-    nodes = _CHEB_NODES * BETA_SPAN
-    nullvecs = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
-    samples = np.linalg.det(nullvecs.reshape(-1, 3, 3))
+    def f_of(betas, f6):
+        f3 = -(f6 @ g[:, :6].T + betas[:, None] * (f6 @ g[:, 6:].T))
+        return np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3)
+
+    lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not 0 < half < math.inf:
+        mid, half = (mid if math.isfinite(mid) else 0.0), BETA_SPAN
+    nodes = mid + half * _NODES
+    pencils = a5 + nodes[:, None, None] * c5
+    minors = np.linalg.det(np.swapaxes(pencils[..., _MINOR5_COLS], -3, -2))
+    samples = np.linalg.det(f_of(nodes, _MINOR5_SIGNS * minors))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
-    coeffs = np.polynomial.chebyshev.chebfit(_CHEB_NODES, samples / scale, 24)
-    coeffs = np.polynomial.chebyshev.chebtrim(coeffs, tol=1e-13)
-    if len(coeffs) < 2:
-        raise DegenerateInput("determinant polynomial is constant")
-    roots = np.polynomial.chebyshev.chebroots(coeffs) * BETA_SPAN
+    # a constant polynomial has no root: NoRealSolution below
+    coeffs = np.polynomial.chebyshev.chebtrim(_NODES_TO_CHEB @ (samples / scale), 1e-13)
+    roots = mid + half * np.polynomial.chebyshev.chebroots(coeffs)
 
-    real = _split_real(roots)
+    real = _split_real(roots, window=window)
     if not real:
-        raise NoRealSolution("no real root of the determinant polynomial")
+        if not _split_real(roots):
+            raise NoRealSolution("no real root of the determinant polynomial")
+        return []
     betas = np.array([beta for beta, _, _ in real])
-    _, sing, vt = np.linalg.svd(m1 + betas[:, None, None] * m2)
-    # a root whose 8x9 system has rank below 8 has no unique nullspace
-    found = [
-        (beta, null.reshape(3, 3), leak)
-        for (beta, _, leak), sv, null in zip(real, sing, vt[:, -1])
-        if not sv[-1] < 1e-8 * sv[0]
-    ]
-    candidates = [
-        c for c in _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
-        if not (abs(np.linalg.det(c.model.m)) > 1e-8
-                or c.algebraic_residual > RESIDUAL_TOL)
-    ]
-    if not candidates:
-        raise NoRealSolution("no real root passed the residual filter")
-    return candidates
+    _, sing, vt = np.linalg.svd(a5 + betas[:, None, None] * c5)
+    keep = ~(sing[:, -1] < 1e-8 * sing[:, 0])
+    fs = f_of(betas, vt[:, -1])
+    found = [(beta, f, leak) for (beta, _, leak), ok, f in zip(real, keep, fs) if ok]
+    cands = _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
+    return [cand for cand in cands if not cand.algebraic_residual > RESIDUAL_TOL]
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ class SceneSpec:
     waypoint_spacing: float = 25.0  # frames between spline waypoints
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.default_rng's message names no field
+            raise ValueError("seed must be non-negative")
         for name in ("beta_gt", "rho", "noise_sigma", "speed_px_per_frame"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

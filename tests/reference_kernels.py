@@ -33,7 +33,6 @@ from camsync.solvers import (
     _h_residual,
     _kron_rows,
     _skew_rows,
-    _stacked_minor_nullvectors,
     build_f_pencil,
 )
 
@@ -178,46 +177,54 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     return candidates
 
 
-def minor_nullvector(m: np.ndarray) -> np.ndarray:
-    """Nullspace of an 8x9 matrix as its nine signed 8x8 minors: one matrix
-    of ``solvers._stacked_minor_nullvectors``'s stack."""
-    sub = np.stack([np.delete(m, k, axis=1) for k in range(9)])
-    dets = np.linalg.det(sub)
-    signs = np.array([(-1.0) ** k for k in range(9)])
-    return signs * dets
-
-
-def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
+def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
     ncorr, t1, t2 = normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
-    nodes = solvers._CHEB_NODES * BETA_SPAN
-    nullvecs = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
-    samples = np.linalg.det(nullvecs.reshape(-1, 3, 3))
+    q, r = np.linalg.qr(m1[:, 6:9], mode="complete")
+    a = q.T @ m1[:, :6]
+    c = q.T @ m2[:, :6]
+    g = scipy.linalg.solve_triangular(r[:3], np.hstack([a[:3], c[:3]]))
+    ga, gc = g[:, :6], g[:, 6:]
+    lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not 0 < half < np.inf:
+        mid, half = (mid if np.isfinite(mid) else 0.0), BETA_SPAN
+    nodes = mid + half * solvers._NODES
+    signs = np.array([(-1.0) ** k for k in range(6)])
+    f6 = []
+    for beta in nodes:
+        pencil = a[3:] + beta * c[3:]
+        f6.append(signs * np.linalg.det(np.stack([np.delete(pencil, k, axis=1) for k in range(6)])))
+    f6 = np.array(f6)
+    f3 = -(f6 @ ga.T + nodes[:, None] * (f6 @ gc.T))
+    samples = np.linalg.det(np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
-    coeffs = np.polynomial.chebyshev.chebfit(nodes / BETA_SPAN, samples / scale, 24)
-    coeffs = np.polynomial.chebyshev.chebtrim(coeffs, tol=1e-13)
-    if len(coeffs) < 2:
-        raise DegenerateInput("determinant polynomial is constant")
-    roots = np.polynomial.chebyshev.chebroots(coeffs) * BETA_SPAN
-    real = split_real(roots)
-    if not real:
+    coeffs = np.polynomial.chebyshev.chebtrim(solvers._NODES_TO_CHEB @ (samples / scale), tol=1e-13)
+    roots = mid + half * np.polynomial.chebyshev.chebroots(coeffs)
+    if window is None:
+        inside = np.ones(roots.shape, bool)
+    else:
+        inside = (window[0] <= roots.real) & (roots.real <= window[1])
+    real = split_real(roots[inside])
+    if not real and not split_real(roots[~inside]):
         raise NoRealSolution("no real root of the determinant polynomial")
     betas = np.array([beta for beta, _, _ in real])
-    _, sing, vt = np.linalg.svd(m1 + betas[:, None, None] * m2)
+    _, sing, vt = np.linalg.svd(a[3:] + betas[:, None, None] * c[3:])
+    f6 = vt[:, -1]
+    # stacked as in camsync: a one-row matmul calls gemv, not gemm
+    f3 = -(f6 @ ga.T + betas[:, None] * (f6 @ gc.T))
     candidates = []
-    for (beta, _, leak), sv, null in zip(real, sing, vt[:, -1]):
+    for (beta, _, leak), sv, f6_r, f3_r in zip(real, sing, f6, f3):
         if sv[-1] < 1e-8 * sv[0]:
             continue
-        fmat = t2.T @ null.reshape(3, 3) @ t1
+        fmat = t2.T @ np.concatenate([f6_r, f3_r]).reshape(3, 3) @ t1
         try:
             model = normalized_model(FUNDAMENTAL, fmat)
         except ValueError:
-            continue
-        if abs(np.linalg.det(model.m)) > 1e-8:
             continue
         res = f_residual(corr, beta, model.m)
         if res > RESIDUAL_TOL:
@@ -225,8 +232,6 @@ def solve_min_f_beta(corr: CorrSet) -> list[SolverCandidate]:
         candidates.append(
             SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
         )
-    if not candidates:
-        raise NoRealSolution("no real root passed the residual filter")
     candidates.sort(key=lambda c: c.algebraic_residual)
     return candidates
 

@@ -218,6 +218,12 @@ class TestCliSynth:
             assert capsys.readouterr().err == "error: n_tracks must be >= 1\n"
             assert not out.exists()
 
+    def test_negative_seed_is_input_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--seed=-1", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
+
 
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(camsync.__file__))

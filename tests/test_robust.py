@@ -425,6 +425,39 @@ class TestBaselines:
             ransac_estimate(t1, t2, "bogus", RansacParams())
 
 
+class TestMinFRansac:
+    @pytest.mark.parametrize("beta0", [200.0, 1000.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shift_far_from_zero(self, seed, beta0):
+        # the README scene with the shift 2.3 frames from a distant beta0:
+        # f-min samples det F(beta) on the window around beta0, not around 0
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=seed, beta_gt=beta0 + 2.3, noise_sigma=0.5, n_tracks=10, n_frames=240,
+            waypoint_spacing=300.0, speed_px_per_frame=4.0,
+        ))
+        params = RansacParams(seed=seed, beta0=beta0, d=4, threshold=5.0, max_iterations=300)
+        res = ransac_estimate(t1, t2, KIND_F_MIN, params)
+        assert abs(res.best.beta - (beta0 + 2.3)) < 0.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_outlier_robustness(self, seed):
+        # acceptance criterion 10's scene and bounds, with f-min
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=seed, beta_gt=3.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
+            waypoint_spacing=120.0,
+        ))
+        (t1o, t2o), labels = inject_outliers(t1, t2, 0.3, seed=seed + 777)
+        params = RansacParams(seed=seed, threshold=3.0, max_iterations=500, d=4)
+        res = ransac_estimate(t1o, t2o, KIND_F_MIN, params)
+        row = {t.track_id: {f: i for i, f in enumerate(t.frames.tolist())} for t in t1o}
+        truth = np.array([not labels[tr][row[tr][fr]] for tr, fr in res.keys])
+        pred = res.inlier_mask
+        tp = int(np.sum(pred & truth))
+        f1 = 2 * tp / (2 * tp + int(np.sum(pred & ~truth)) + int(np.sum(~pred & truth)))
+        assert abs(res.best.beta - 3.0) < 0.5
+        assert f1 >= 0.95
+
+
 def result_bytes(res):
     """Everything a RansacResult holds, as bytes or exact values."""
     best = res.best

@@ -1,5 +1,6 @@
 """Minimal solvers: joint geometry + time-shift, and classical baselines."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -28,12 +29,11 @@ from camsync.robust import build_correspondences
 from camsync import solvers
 from camsync.solvers import (
     CorrSet,
-    _complete_q,
+    _complete_qr,
     _ggev,
     _lstsq,
     _normalize_corr,
     _split_real,
-    _stacked_minor_nullvectors,
     build_f_pencil,
     normalizing_transform,
 )
@@ -337,10 +337,11 @@ class TestDirectQr:
     @pytest.mark.parametrize("seed", range(10))
     def test_bit_identical_to_numpy_qr(self, seed):
         for a in tall_matrices(seed):
-            want = np.linalg.qr(a, mode="complete")[0]
-            got = _complete_q(a)
-            assert got.flags.c_contiguous == want.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            want_q, want_r = np.linalg.qr(a, mode="complete")
+            got_q, got_r = _complete_qr(a)
+            assert got_q.flags.c_contiguous == want_q.flags.c_contiguous
+            assert got_q.tobytes() == want_q.tobytes()
+            assert np.triu(got_r).tobytes() == want_r[:a.shape[1]].tobytes()
 
 
 class TestDirectLstsq:
@@ -533,20 +534,37 @@ class TestMinFBeta:
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        beta_span=st.sampled_from([1.0, 16.0, 40.0]),
+        window=st.sampled_from([None, (-40.0, 40.0), (2.0, 3.0), (960.0, 1040.0)]),
         repeat_row=st.booleans(),
     )
-    def test_stacked_minors_bit_identical_to_scalar(self, seed, beta_span, repeat_row):
-        rng = np.random.default_rng(seed)
-        m1 = rng.normal(size=(8, 9)) * 10.0 ** rng.uniform(-3, 3, size=(8, 1))
-        m2 = rng.normal(size=(8, 9))
-        if repeat_row:  # every minor singular
-            m1[1], m2[1] = m1[0], m2[0]
-        nodes = solvers._CHEB_NODES * beta_span
-        got = _stacked_minor_nullvectors(m1 + nodes[:, None, None] * m2)
-        want = np.stack([ref.minor_nullvector(m1 + b * m2) for b in nodes])
-        assert got.shape == (40, 9)
-        assert got.tobytes() == want.tobytes()
+    def test_bit_identical_to_per_node_minors(self, seed, window, repeat_row):
+        """The stacked 5x5 minors and direct QR and back-substitution give the
+        bytes of ``np.delete`` minors node by node, ``np.linalg.qr`` and
+        ``scipy.linalg.solve_triangular``."""
+        corr = random_corrset(np.random.default_rng(seed)).take(np.arange(8))
+        if repeat_row:  # the pencil is singular at every node
+            corr = corr.take(np.array([0, 0, 2, 3, 4, 5, 6, 7]))
+
+        def run(solver):
+            try:
+                return [(np.float64(c.beta).tobytes(), c.model.m.tobytes(),
+                         np.float64(c.algebraic_residual).tobytes(), c.imag_leak)
+                        for c in solver(corr, window)]
+            except (DegenerateInput, NoRealSolution) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert run(solve_min_f_beta) == run(ref.solve_min_f_beta)
+
+    def test_collinear_camera1_points_are_degenerate(self):
+        # one image row: the triangular factor R has an exact zero pivot
+        rng = np.random.default_rng(3)
+        corr = CorrSet(
+            s1=np.column_stack([rng.uniform(0, 1000, 8), np.full(8, 500.0), np.ones(8)]),
+            u=np.column_stack([rng.uniform(0, 1000, (8, 2)), np.ones(8)]),
+            v=np.column_stack([rng.uniform(-10, 10, (8, 2)), np.zeros(8)]),
+        )
+        with pytest.raises(DegenerateInput, match="R is singular"):
+            solve_min_f_beta(corr)
 
     def test_no_real_root_raises_no_real_solution(self, monkeypatch):
         corr, _ = exact_corr(seed=11, beta_gt=1.0, d=1, n_pick=8)
@@ -567,7 +585,9 @@ class TestMinFBeta:
         corr = CorrSet(s1, u, v)
         ncorr, _, _ = _normalize_corr(corr)
         m1, m2 = build_f_pencil(ncorr)
-        sing = np.linalg.svd(m1 + beta * m2, compute_uv=False)
+        # the compressed 5x6 pencil, as the solver forms it
+        q2 = _complete_qr(m1[:, 6:9])[0][:, 3:]
+        sing = np.linalg.svd(q2.T @ (m1 + beta * m2)[:, :6], compute_uv=False)
         assert sing[-1] < 1e-8 * sing[0]
         monkeypatch.setattr(
             np.polynomial.chebyshev, "chebroots", lambda c: np.array([beta / 16.0])
@@ -576,31 +596,42 @@ class TestMinFBeta:
         monkeypatch.setattr(
             TwoViewModel, "normalized", staticmethod(lambda *a: made.append(a) or normalized(*a))
         )
-        with pytest.raises(NoRealSolution):
-            solve_min_f_beta(corr)
+        # a real root makes the draw valid, but this one gives no candidate
+        assert solve_min_f_beta(corr) == []
         assert made == []  # dropped before any model was formed
 
-    def test_nonsingular_f_rejected(self, monkeypatch):
-        # unit-scale coordinates, so that a full-rank F has a sizeable det
-        rng = np.random.default_rng(1)
-        corr = CorrSet(
-            s1=np.column_stack([rng.uniform(-1, 1, (8, 2)), np.ones(8)]),
-            u=np.column_stack([rng.uniform(-1, 1, (8, 2)), np.ones(8)]),
-            v=np.column_stack([rng.uniform(-0.1, 0.1, (8, 2)), np.zeros(8)]),
-        )
-        beta = 0.3  # not a root: the unique nullvector is a full-rank F
-        ncorr, t1, t2 = _normalize_corr(corr)
-        m1, m2 = build_f_pencil(ncorr)
-        _, sing, vt = np.linalg.svd(m1 + beta * m2)
-        assert sing[-1] >= 1e-8 * sing[0]
-        f = TwoViewModel.normalized(FUNDAMENTAL, t2.T @ vt[-1].reshape(3, 3) @ t1)
-        assert abs(np.linalg.det(f.m)) > 1e-8
-        assert solvers._f_residual(corr, beta, f.m) < 1e-6
-        monkeypatch.setattr(
-            np.polynomial.chebyshev, "chebroots", lambda c: np.array([beta / 16.0])
-        )
-        with pytest.raises(NoRealSolution):
-            solve_min_f_beta(corr)
+    def test_ground_truth_candidate_singular_in_normalized_coordinates(self):
+        # scale-free: a full-rank F in pixel coordinates can have |det| ~ 1e-11
+        for seed in range(60, 68):
+            corr, _ = exact_corr(seed=seed, beta_gt=1.5, d=2, n_pick=8)
+            best = best_beta_match(solve_min_f_beta(corr), 1.5)
+            assert abs(best.beta - 1.5) < 1e-5
+            _, t1, t2 = _normalize_corr(corr)
+            fn = np.linalg.inv(t2).T @ best.model.m @ np.linalg.inv(t1)
+            assert abs(np.linalg.det(fn)) / np.linalg.norm(fn) ** 3 < 1e-10
+
+    def test_window_keeps_in_window_roots_only(self):
+        corr, _ = exact_corr(seed=14, beta_gt=2.0, d=2, n_pick=8)
+        betas = [c.beta for c in solve_min_f_beta(corr)]
+        assert any(abs(b - 2.0) < 1e-5 for b in betas)
+        for window in ((1.0, 3.0), (-40.0, 40.0), (1.9, 2.1)):
+            got = [c.beta for c in solve_min_f_beta(corr, window)]
+            assert all(window[0] <= b <= window[1] for b in got)
+            assert any(abs(b - 2.0) < 1e-5 for b in got)
+
+    def test_valid_draw_with_no_root_in_window_returns_empty(self):
+        corr, _ = exact_corr(seed=14, beta_gt=2.0, d=2, n_pick=8)
+        window = (5.0, 100.0)  # between the roots at 2 and about 526
+        assert not [c for c in solve_min_f_beta(corr) if window[0] <= c.beta <= window[1]]
+        assert solve_min_f_beta(corr, window) == []
+
+    @pytest.mark.parametrize("window", [(5.0, 5.0), (-math.inf, math.inf)])
+    def test_empty_or_unbounded_window_samples_the_default_span(self, window):
+        corr, _ = exact_corr(seed=14, beta_gt=2.0, d=2, n_pick=8)
+        got = solve_min_f_beta(corr, window)
+        assert all(window[0] <= c.beta <= window[1] for c in got)
+        if window[0] < window[1]:
+            assert [c.beta for c in got] == [c.beta for c in solve_min_f_beta(corr)]
 
 
 class TestMinHBeta:

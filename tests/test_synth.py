@@ -43,6 +43,8 @@ class TestSceneSpec:
                     SceneSpec(**{name: value})
         with pytest.raises(ValueError, match="waypoint_spacing must be positive"):
             SceneSpec(waypoint_spacing=float("nan"))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SceneSpec(seed=-1)
 
 
 class TestSmoothScenes:
