@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -117,8 +118,8 @@ def _cmd_sync(args) -> int:
             p_max=args.pmax,
             ransac=rp,
         )
-        if args.fps is not None and not args.fps > 0:
-            raise ValueError("fps must be positive")
+        if args.fps is not None and not (math.isfinite(args.fps) and args.fps > 0):
+            raise ValueError("fps must be positive and finite")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -403,7 +404,7 @@ def _final_inlier_fraction(traj1, traj2, rp, kind, run: SyncRun) -> float:
     corr, _ = build_correspondences(traj1, traj2, float(last.j_after), rp.rho, 1)
     if not len(corr):
         return 0.0
-    cand = SolverCandidate(beta=run.beta_total, model=run.model, algebraic_residual=0.0)
+    cand = SolverCandidate(beta=run.beta_total, model=run.model)
     mask, _ = score_candidate(kind, cand, corr, rp.threshold)
     return float(mask.sum() / len(corr))
 

@@ -93,8 +93,8 @@ class RansacParams:
     beta_max: float | None = None  # window around beta0; default 10 * max(|d|, 1)
 
     def __post_init__(self):
-        if not self.threshold > 0:  # also rejects NaN
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError("threshold must be positive and finite")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
         if self.d == 0:
@@ -218,9 +218,7 @@ def _generate(
     # held there
     held = CorrSet(sub.s1, sub.u + beta0 * sub.v, sub.v)
     models = solve_7pt_f(held) if kind == KIND_F_7PT else [solve_4pt_h(held)]
-    return [
-        SolverCandidate(beta=beta0, model=m, algebraic_residual=0.0) for m in models
-    ]
+    return [SolverCandidate(beta=beta0, model=m) for m in models]
 
 
 def score_candidate(
@@ -270,9 +268,7 @@ def refine_candidate(
         except (DegenerateInput, np.linalg.LinAlgError):
             break
         beta = min(max(beta, lo), hi)
-        trial = SolverCandidate(
-            beta=beta, model=model, algebraic_residual=best.algebraic_residual
-        )
+        trial = SolverCandidate(beta=beta, model=model)
         try:
             mask_t, res_t = score_candidate(kind, trial, corr, params.threshold)
         except SingularModel:

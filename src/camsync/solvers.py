@@ -21,7 +21,7 @@ Solvers:
 Only this module computes in normalized coordinates: every solver and fit
 conditions both images with isotropic (Hartley-style) normalization, maps its
 matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
-their residual-sorted candidates with ``_candidates``.
+their candidates with ``_candidates``.
 
 The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
 overhead costs more than the arithmetic. So they call LAPACK directly:
@@ -43,24 +43,21 @@ import scipy.linalg
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dggev, dorgqr, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, epipolar_constraint
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
 BETA_SPAN = 16.0  # solve_min_f_beta without a window samples on [-BETA_SPAN, BETA_SPAN]
-RESIDUAL_TOL = 1e-6  # and drops the roots whose residual exceeds RESIDUAL_TOL
 COLLINEAR_TOL = 1e-9  # triangle area, relative to the squared coordinate scale
 _SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class SolverCandidate:
-    """One (beta, model) hypothesis with its backsubstitution residual."""
+    """One (beta, model) hypothesis."""
 
     beta: float
     model: TwoViewModel
-    algebraic_residual: float
-    imag_leak: float = 0.0
 
 
 @dataclass
@@ -148,7 +145,7 @@ def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _split_real(values, vectors=None, window=None):
-    """Filter near-real finite eigenvalues; returns (beta, vec, imag_leak) triples.
+    """Filter near-real finite eigenvalues; returns (beta, vec) pairs.
 
     With ``window = (lo, hi)`` only values whose real part lies in it, both
     ends inclusive, are considered.
@@ -186,29 +183,8 @@ def _split_real(values, vectors=None, window=None):
                     continue
             elif vec.dot(vec) == 0:
                 continue
-        out.append((beta, vec, leak))
+        out.append((beta, vec))
     return out
-
-
-def _f_residual(corr: CorrSet, beta: float, f: np.ndarray) -> float:
-    """Max normalized epipolar residual |(u + beta v)^T F s| over the set."""
-    a = corr.u + beta * corr.v
-    num = np.abs(epipolar_constraint(a, f, corr.s1))
-    # np.linalg.norm(x, axis=1)'s reduction
-    den = np.sqrt(np.add.reduce(a * a, axis=1)) * np.sqrt(
-        np.add.reduce(corr.s1 * corr.s1, axis=1)
-    )
-    return float((num / np.maximum(den, 1e-12)).max())
-
-
-def _h_residual(corr: CorrSet, beta: float, h: np.ndarray) -> float:
-    """Max normalized cross-product residual of H s ~ (u + beta v)."""
-    a = corr.u + beta * corr.v
-    hs = corr.s1 @ h.T
-    cross = np.cross(a, hs)
-    num = np.linalg.norm(cross, axis=1)
-    den = np.linalg.norm(a, axis=1) * np.linalg.norm(hs, axis=1)
-    return float(np.max(num / np.maximum(den, 1e-12)))
 
 
 def _to_pixels(geometry: str, t1: np.ndarray, t2: np.ndarray):
@@ -220,19 +196,15 @@ def _to_pixels(geometry: str, t1: np.ndarray, t2: np.ndarray):
     return lambda m: TwoViewModel.normalized(geometry, left @ m @ t1)
 
 
-def _candidates(corr: CorrSet, to_pixels, found) -> list[SolverCandidate]:
-    """Candidates of normalized ``(beta, m, leak)`` triples, sorted by their
-    algebraic residual over the pixel-coordinate ``corr``; an m that
+def _candidates(to_pixels, found) -> list[SolverCandidate]:
+    """Candidates of normalized ``(beta, m)`` pairs, in their order; an m that
     ``to_pixels`` rejects is dropped."""
     out = []
-    for beta, m, leak in found:
+    for beta, m in found:
         try:
-            model = to_pixels(m)
+            out.append(SolverCandidate(beta, to_pixels(m)))
         except ValueError:
             continue
-        residual = _f_residual if model.kind == FUNDAMENTAL else _h_residual
-        out.append(SolverCandidate(beta, model, residual(corr, beta, model.m), leak))
-    out.sort(key=lambda c: c.algebraic_residual)
     return out
 
 
@@ -375,10 +347,10 @@ def solve_gep_f_beta(
     if not real and not _split_real(values, vectors):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     found = []
-    for beta, f6, leak in real:
+    for beta, f6 in real:
         f3 = _lstsq(b3, -(m1[:, :6] + beta * m2[:, :6]) @ f6)
-        found.append((beta, np.concatenate([f6, f3]).reshape(3, 3), leak))
-    return _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
+        found.append((beta, np.concatenate([f6, f3]).reshape(3, 3)))
+    return _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +379,8 @@ def solve_min_f_beta(
     [-BETA_SPAN, BETA_SPAN] without one or for an empty or unbounded one,
     and its roots come from the colleague matrix. Only the real roots in the
     window get models: the pencil's SVD gives f6 and drops a root of rank
-    below 5, and a residual above ``RESIDUAL_TOL`` drops a candidate. As for
-    ``solve_gep_f_beta``, real roots all outside the window give [], and no
-    real root raises ``NoRealSolution``.
+    below 5. As for ``solve_gep_f_beta``, real roots all outside the window
+    give [], and no real root raises ``NoRealSolution``.
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
@@ -447,13 +418,12 @@ def solve_min_f_beta(
         if not _split_real(roots):
             raise NoRealSolution("no real root of the determinant polynomial")
         return []
-    betas = np.array([beta for beta, _, _ in real])
+    betas = np.array([beta for beta, _ in real])
     _, sing, vt = np.linalg.svd(a5 + betas[:, None, None] * c5)
     keep = ~(sing[:, -1] < 1e-8 * sing[:, 0])
     fs = f_of(betas, vt[:, -1])
-    found = [(beta, f, leak) for (beta, _, leak), ok, f in zip(real, keep, fs) if ok]
-    cands = _candidates(corr, _to_pixels(FUNDAMENTAL, t1, t2), found)
-    return [cand for cand in cands if not cand.algebraic_residual > RESIDUAL_TOL]
+    found = [(beta, f) for (beta, _), ok, f in zip(real, keep, fs) if ok]
+    return _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +463,12 @@ def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
         raise DegenerateInput("quadratic system is rank-deficient") from exc
     values, vectors = np.linalg.eig(action)
     found = []
-    for beta, vec, leak in _split_real(values, vectors):
+    for beta, vec in _split_real(values, vectors):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
-        found.append((beta, (g1 * n1 + g2 * n2 + n3)[:9].reshape(3, 3), leak))
-    candidates = _candidates(corr, _to_pixels(HOMOGRAPHY, t1, t2), found)
+        found.append((beta, (g1 * n1 + g2 * n2 + n3)[:9].reshape(3, 3)))
+    candidates = _candidates(_to_pixels(HOMOGRAPHY, t1, t2), found)
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
     return candidates
@@ -529,7 +499,7 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
     roots = np.polynomial.polynomial.polyroots(poly)
     to_pixels = _to_pixels(FUNDAMENTAL, t1, t2)
     models = []
-    for x, _, _ in _split_real(roots):
+    for x, _ in _split_real(roots):
         try:
             models.append(to_pixels(x * f1 + (1 - x) * f2))
         except ValueError:

@@ -10,7 +10,7 @@ back to 2^0 after 2^p_max). A direction without enough rows to sample is
 passed over; if neither direction of the first iteration has them, the +d
 call's ``NotEnoughCorrespondences`` is raised. The loop stops once every
 distance has been tried without improvement at the current offset, or after
-k_max accepted steps. The recovered total shift is the accumulated integer
+k_max - 1 accepted steps. The recovered total shift is the accumulated integer
 offset plus the last accepted subframe estimate.
 """
 
@@ -44,8 +44,8 @@ class IterParams:
 
     def __post_init__(self):
         solver_kind(self.kind)
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        if self.k_max < 2:  # the loop takes at most k_max - 1 steps
+            raise ValueError("k_max must be >= 2")
         if not (0 <= self.p_min <= self.p_max):
             raise ValueError("need 0 <= p_min <= p_max")
         if self.p_max > 62:  # d = 2**p_max must fit in int64

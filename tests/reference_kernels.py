@@ -25,12 +25,10 @@ from camsync.robust import solver_kind
 from camsync.solvers import (
     BETA_SPAN,
     IMAG_TOL,
-    RESIDUAL_TOL,
     CorrSet,
     SolverCandidate,
     _collinear_triple,
     _ggev_lwork,
-    _h_residual,
     _kron_rows,
     _skew_rows,
     build_f_pencil,
@@ -91,14 +89,24 @@ def split_real(values, vectors=None):
             if leak > 1e-4:
                 continue
             vec = vraw.real
-        out.append((float(lam.real), vec, leak))
+        out.append((float(lam.real), vec))
     return out
 
 
 def f_residual(corr: CorrSet, beta: float, f: np.ndarray) -> float:
+    """Max normalized epipolar residual |(u + beta v)^T F s| over the set."""
     a = corr.u + beta * corr.v
     num = np.abs(np.einsum("ij,jk,ik->i", a, f, corr.s1))
     den = np.linalg.norm(a, axis=1) * np.linalg.norm(corr.s1, axis=1)
+    return float(np.max(num / np.maximum(den, 1e-12)))
+
+
+def h_residual(corr: CorrSet, beta: float, h: np.ndarray) -> float:
+    """Max normalized cross-product residual of H s ~ (u + beta v)."""
+    a = corr.u + beta * corr.v
+    hs = corr.s1 @ h.T
+    num = np.linalg.norm(np.cross(a, hs), axis=1)
+    den = np.linalg.norm(a, axis=1) * np.linalg.norm(hs, axis=1)
     return float(np.max(num / np.maximum(den, 1e-12)))
 
 
@@ -160,7 +168,7 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if not real and not split_real(values[~inside], vectors[:, ~inside]):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates = []
-    for beta, f6, leak in real:
+    for beta, f6 in real:
         rhs = -(m1[:, :6] + beta * m2[:, :6]) @ f6
         f3, *_ = np.linalg.lstsq(b3, rhs, rcond=None)
         fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
@@ -169,11 +177,7 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
             model = normalized_model(FUNDAMENTAL, fmat)
         except ValueError:
             continue
-        res = f_residual(corr, beta, model.m)
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
-    candidates.sort(key=lambda c: c.algebraic_residual)
+        candidates.append(SolverCandidate(beta=beta, model=model))
     return candidates
 
 
@@ -212,13 +216,13 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     real = split_real(roots[inside])
     if not real and not split_real(roots[~inside]):
         raise NoRealSolution("no real root of the determinant polynomial")
-    betas = np.array([beta for beta, _, _ in real])
+    betas = np.array([beta for beta, _ in real])
     _, sing, vt = np.linalg.svd(a[3:] + betas[:, None, None] * c[3:])
     f6 = vt[:, -1]
     # stacked as in camsync: a one-row matmul calls gemv, not gemm
     f3 = -(f6 @ ga.T + betas[:, None] * (f6 @ gc.T))
     candidates = []
-    for (beta, _, leak), sv, f6_r, f3_r in zip(real, sing, f6, f3):
+    for (beta, _), sv, f6_r, f3_r in zip(real, sing, f6, f3):
         if sv[-1] < 1e-8 * sv[0]:
             continue
         fmat = t2.T @ np.concatenate([f6_r, f3_r]).reshape(3, 3) @ t1
@@ -226,13 +230,7 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
             model = normalized_model(FUNDAMENTAL, fmat)
         except ValueError:
             continue
-        res = f_residual(corr, beta, model.m)
-        if res > RESIDUAL_TOL:
-            continue
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
-    candidates.sort(key=lambda c: c.algebraic_residual)
+        candidates.append(SolverCandidate(beta=beta, model=model))
     return candidates
 
 
@@ -257,7 +255,7 @@ def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
     values, vectors = np.linalg.eig(action)
     t2_inv = np.linalg.inv(t2)
     candidates = []
-    for beta, vec, leak in split_real(values, vectors):
+    for beta, vec in split_real(values, vectors):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
@@ -267,13 +265,9 @@ def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
             model = normalized_model(HOMOGRAPHY, hmat)
         except ValueError:
             continue
-        res = _h_residual(corr, beta, model.m)
-        candidates.append(
-            SolverCandidate(beta=beta, model=model, algebraic_residual=res, imag_leak=leak)
-        )
+        candidates.append(SolverCandidate(beta=beta, model=model))
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
-    candidates.sort(key=lambda c: c.algebraic_residual)
     return candidates
 
 
@@ -295,7 +289,7 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.polynomial.polyroots(poly)
     models = []
-    for x, _, _ in split_real(roots):
+    for x, _ in split_real(roots):
         fmat = t2.T @ (x * f1 + (1 - x) * f2) @ t1
         try:
             models.append(normalized_model(FUNDAMENTAL, fmat))

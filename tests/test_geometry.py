@@ -23,7 +23,6 @@ from camsync.geometry import (
     sampson_distances,
     transfer_distances,
 )
-from camsync.solvers import CorrSet, _f_residual
 
 import reference_kernels as ref
 
@@ -260,8 +259,8 @@ def epipolar_rows(draw):
 
 class TestEpipolarReduction:
     @settings(max_examples=300, deadline=None)
-    @given(epipolar_rows(), st.floats(-30, 30))
-    def test_bit_identical_to_einsum(self, case, beta):
+    @given(epipolar_rows())
+    def test_bit_identical_to_einsum(self, case):
         f, x1, x2, nan_rows = case
         want_e = np.einsum("ij,jk,ik->i", x2, f, x1)
         e = epipolar_constraint(x2, f, x1)
@@ -271,9 +270,6 @@ class TestEpipolarReduction:
         got = sampson_distances(f, x1, x2)
         assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
         assert np.all(got[nan_rows] == np.inf)
-        corr = CorrSet(x1, x2, np.column_stack([x2[:, :2] * 1e-2, np.zeros(len(x2))]))
-        assert (np.float64(_f_residual(corr, beta, f)).tobytes()
-                == np.float64(ref.f_residual(corr, beta, f)).tobytes())
 
 
 class TestHomographyResidual:

@@ -332,12 +332,12 @@ class TestCliSync:
     @pytest.mark.parametrize(
         "opts, message",
         [
-            (["--threshold", "0"], "threshold must be positive"),
-            (["--threshold", "nan"], "threshold must be positive"),
+            (["--threshold", "0"], "threshold must be positive and finite"),
+            (["--threshold", "nan"], "threshold must be positive and finite"),
             (["--single-shot", "--d", "0"], "d must be nonzero"),
             (["--pmin", "3", "--pmax", "1"], "need 0 <= p_min <= p_max"),
             (["--rho", "0"], "rho must be positive and finite"),
-            (["--single-shot", "--fps", "0"], "fps must be positive"),
+            (["--single-shot", "--fps", "0"], "fps must be positive and finite"),
             (["--beta-max", "-1"], "beta_max must be non-negative"),
             (["--beta-max", "nan"], "beta_max must be non-negative"),
             (["--max-iterations", "0"], "max_iterations must be >= 1"),
@@ -350,6 +350,9 @@ class TestCliSync:
             (["--single-shot", "--d", str(-2**63)], "|d| must be <= 2**63 - 1"),
             (["--pmin", "63", "--pmax", "63"], "p_max must be <= 62"),
             (["--pmax", "100000"], "p_max must be <= 62"),
+            (["--threshold", "inf"], "threshold must be positive and finite"),
+            (["--single-shot", "--fps", "inf"], "fps must be positive and finite"),
+            (["--kmax", "1"], "k_max must be >= 2"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):
@@ -451,6 +454,14 @@ class TestCliSweep:
         cfg.write_text(json.dumps(self._config(algorithms=["f-magic"])))
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
         assert rc == EXIT_INPUT
+
+    def test_infinite_threshold_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(threshold=float("inf"))))
+        rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: threshold must be positive and finite\n"
+        assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize(
         "config, message",

@@ -1,5 +1,6 @@
-"""Module layering: no camsync module imports another one's private names, and
-none imports a name it never reads."""
+"""Module layering: no camsync module imports another one's private names,
+none imports a name it never reads, and every private top-level name is read
+by some camsync module."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,38 @@ def unused_imports(source: str, filename: str) -> list[str]:
             if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                 found.append(f"{filename}:{alias.lineno}: {name}")
     return found
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Each underscore-prefixed top-level function, class or constant of the
+    modules in ``sources`` (file name to text) that none of them reads, as
+    text. A read is a name loaded bare or as an attribute (``module._name``);
+    dunder names are exempt."""
+    defined = []
+    read = set()
+    for filename, source in sources.items():
+        tree = ast.parse(source, filename=filename)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            defined += [
+                f"{filename}:{node.lineno}: {name}" for name in names
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [line for line in defined if line.rsplit(" ", 1)[1] not in read]
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -107,4 +140,48 @@ def test_unused_import_guard_sees_every_binding():
         "m.py:6: FUNDAMENTAL",
         "m.py:10: _solve",
         "m.py:12: json",
+    ]
+
+
+def test_every_private_name_is_read_by_some_module():
+    # a helper that only the tests call belongs in tests/
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_name_guard_sees_every_definition():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_TOL = 1e-6\n"
+            "_A, _B = 1, 2\n"
+            "_SPAN: float = 16.0\n"
+            "_table = {}\n"
+            "_table[_A] = 0\n"
+            "def _helper():\n"
+            "    def _inner():\n"
+            "        pass\n"
+            "    return _inner\n"
+            "def _unused():\n"
+            "    _local = 1\n"
+            "    return _local\n"
+            "class _Spare:\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    return x.attr._read_as_attribute\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "def _read_as_attribute():\n"
+            "    pass\n"
+            "print(a._helper(), a._SPAN)\n"
+        ),
+    }
+    assert dead_private_names(sources) == [
+        "a.py:2: _TOL",
+        "a.py:3: _B",
+        "a.py:11: _unused",
+        "a.py:14: _Spare",
     ]

@@ -52,8 +52,9 @@ class TestRounding:
 
 class TestIterParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IterParams(kind=KIND_F_GEP, k_max=0)
+        for bad in (0, 1):
+            with pytest.raises(ValueError, match="k_max must be >= 2"):
+                IterParams(kind=KIND_F_GEP, k_max=bad)
         with pytest.raises(ValueError):
             IterParams(kind=KIND_F_GEP, p_min=3, p_max=1)
         with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
