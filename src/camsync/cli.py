@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _load_two_cameras(path):
 def _cmd_sync(args) -> int:
     try:
         traj1, traj2 = _load_two_cameras(args.file)
-    except (OSError, TrajectoryFormatError) as exc:
+    except TrajectoryFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     kind = ITER_KINDS[f"iter-{args.model.lower()}"]
@@ -225,7 +225,7 @@ def _cmd_synth(args) -> int:
             "seed": spec.seed,
         }
         with open(args.gt_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -274,7 +274,8 @@ def run_sweep(config: dict) -> list[dict]:
     """Execute the experiment grid; returns one row dict per cell.
 
     A malformed config (not an object, a list setting that is not a list of
-    the right items, a value its setting cannot convert) raises ValueError.
+    the right items, a value its setting cannot convert or the RANSAC and loop
+    settings reject) raises ValueError before any scene is generated.
     """
     if not isinstance(config, dict):
         raise ValueError("sweep config must be a JSON object")
@@ -307,6 +308,13 @@ def run_sweep(config: dict) -> list[dict]:
     pmin = _config_value(config, "pmin", int, 0)
     pmax = _config_value(config, "pmax", int, 5)
     kmax = _config_value(config, "kmax", int, 20)
+    try:
+        rp = RansacParams(threshold=threshold, max_iterations=max_iters, rho=rho)
+        ip = None  # each iterative cell sets its own kind, seed and d
+        if any(a in ITER_KINDS for a in algorithms):
+            ip = IterParams(KIND_F_GEP, k_max=kmax, p_min=pmin, p_max=pmax, ransac=rp)
+    except ValueError as exc:
+        raise ValueError(f"sweep config: {exc}") from None
 
     rows = []
     for bi, beta in enumerate(betas):
@@ -328,22 +336,16 @@ def run_sweep(config: dict) -> list[dict]:
                 traj1, traj2, gt = generate_scene(spec)
                 scene_id = f"b{bi}n{ni}s{scene}"
                 for alg in algorithms:
-                    alg_ds = [0] if alg in ITER_KINDS else ds
-                    for d in alg_ds:
-                        rows.append(
-                            _sweep_cell(
-                                scene_id, beta, d, alg, traj1, traj2, gt,
-                                threshold, max_iters, rho, scene_seed,
-                                pmin, pmax, kmax,
-                            )
-                        )
+                    for d in [0] if alg in ITER_KINDS else ds:
+                        # iterative rows read d = 0; the loop sets its own d
+                        cell_rp = replace(rp, seed=scene_seed, d=d if d else 1)
+                        rows.append(_sweep_cell(
+                            scene_id, beta, d, alg, traj1, traj2, gt, cell_rp, ip
+                        ))
     return rows
 
 
-def _sweep_cell(
-    scene_id, beta_gt, d, alg, traj1, traj2, gt,
-    threshold, max_iters, rho, seed, pmin, pmax, kmax,
-) -> dict:
+def _sweep_cell(scene_id, beta_gt, d, alg, traj1, traj2, gt, rp, ip) -> dict:
     row = {
         "scene_id": scene_id,
         "beta_gt": repr(float(beta_gt)),
@@ -356,20 +358,10 @@ def _sweep_cell(
         "ransac_count": "",
         "status": "ok",
     }
-    rp = RansacParams(
-        threshold=threshold,
-        max_iterations=max_iters,
-        seed=seed,
-        rho=rho,
-        d=d if d else 1,  # iterative rows read d = 0; the loop sets its own d
-    )
     try:
         if alg in ITER_KINDS:
             kind = ITER_KINDS[alg]
-            run = iterative_sync(
-                traj1, traj2, IterParams(kind=kind, k_max=kmax, p_min=pmin,
-                                         p_max=pmax, ransac=rp)
-            )
+            run = iterative_sync(traj1, traj2, replace(ip, kind=kind, ransac=rp))
             row["beta_est"] = repr(float(run.beta_total))
             row["inlier_fraction"] = repr(
                 _final_inlier_fraction(traj1, traj2, rp, kind, run)
@@ -414,7 +406,7 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         rows = run_sweep(config)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -427,11 +419,12 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "sync":
-        return _cmd_sync(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    return _cmd_sweep(args)
+    command = {"sync": _cmd_sync, "synth": _cmd_synth, "sweep": _cmd_sweep}
+    try:
+        return command[args.command](args)
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

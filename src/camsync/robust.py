@@ -103,8 +103,8 @@ class RansacParams:
             raise ValueError("|d| must be <= 2**63 - 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.beta_max is not None and not self.beta_max >= 0:  # also rejects NaN
-            raise ValueError("beta_max must be non-negative")
+        if self.beta_max is not None and not 0 <= self.beta_max < math.inf:  # rejects NaN
+            raise ValueError("beta_max must be non-negative and finite")
         if not 0 <= self.seed <= 2**64 - 1:  # each draw's stream is uint64(seed) ^ it
             raise ValueError("seed must be in [0, 2**64 - 1]")
 

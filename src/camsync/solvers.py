@@ -24,9 +24,9 @@ matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
 their candidates with ``_candidates``.
 
 The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
-overhead costs more than the arithmetic. So they call LAPACK directly:
-``dgeqrf`` and ``dorgqr`` for the compression, ``dggev`` for the pencil,
-``dgelsd`` and ``dtrtrs`` for the back-substitutions. Each call gives the bits
+overhead costs more than the arithmetic. So they call LAPACK directly: they
+share one compression (``dgeqrf`` and ``dorgqr``) and one back-substitution
+(``dtrtrs``), and f-gep's pencil goes to ``dggev``. Each call gives the bits
 of the numpy or scipy function it stands for, as do the stacked minors and
 the written-out reductions; ``tests/reference_kernels.py`` holds those plain
 forms.
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgelsd, dgelsd_lwork, dgeqrf, dggev, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dggev, dorgqr, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
 from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
@@ -276,27 +276,6 @@ def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, vr
 
 
-@functools.cache
-def _gelsd_args(m: int, n: int) -> tuple[int, int, float]:
-    """dgelsd's workspace sizes for one right-hand side and numpy's rcond."""
-    rcond = float(np.finfo(float).eps * max(m, n))
-    work, iwork, _ = dgelsd_lwork(m, n, 1, rcond)
-    return int(work), int(iwork), rcond
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a 1-D b, bit for bit.
-
-    One direct ``dgelsd`` call with numpy's default rcond and cached
-    workspace sizes.
-    """
-    n = a.shape[1]
-    x, _, _, info = dgelsd(a, b[:, None], *_gelsd_args(*a.shape))
-    if info != 0:
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x[:n, 0]
-
-
 def _complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.qr(a, mode="complete")`` for a tall m x n a, bit for bit:
     ``dgeqrf`` then ``dorgqr`` on the m x m matrix that holds the reflectors
@@ -312,15 +291,37 @@ def _complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(q), qr[:n]
 
 
+def _compressed_f(corr: CorrSet):
+    """Both F solvers' compression of (M1 + beta M2) f = 0, 9 or 8 rows.
+
+    The tangent has no homogeneous component, so M2 has three zero columns
+    and the QR of M1's third-row columns splits the system into a pencil
+    (A + beta C) f6 = 0, 6x6 or 5x6, and a triangular R f3 = -(A3 + beta C3)
+    f6. Returns A, C, ``f_of(betas, f6)`` building each normalized F from its
+    f6 row, and the pixel map."""
+    ncorr, t1, t2 = _normalize_corr(corr)
+    m1, m2 = build_f_pencil(ncorr)
+    q, r = _complete_qr(m1[:, 6:9])
+    a, c = q.T @ m1[:, :6], q.T @ m2[:, :6]
+    # f3 = -(g[:, :6] + beta g[:, 6:]) f6; dtrtrs reads only r's upper triangle
+    g, info = dtrtrs(r, np.hstack([a[:3], c[:3]]))
+    if info != 0:
+        raise DegenerateInput("camera-1 points collinear, R is singular")
+
+    def f_of(betas, f6):
+        f3 = -(f6 @ g[:, :6].T + betas[:, None] * (f6 @ g[:, 6:].T))
+        return np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3)
+
+    return a[3:], c[3:], f_of, _to_pixels(FUNDAMENTAL, t1, t2)
+
+
 def solve_gep_f_beta(
     corr: CorrSet, window: tuple[float, float] | None = None
 ) -> list[SolverCandidate]:
     """Fundamental matrix + time shift from 9 correspondences via a 6x6 GEP.
 
-    The beta coefficient matrix has three identically-zero columns (the
-    tangent has no homogeneous component), so the 9x9 pencil is compressed to
-    a 6x6 problem with the same finite eigenvalues. The returned F is not
-    rank-2 in general.
+    ``_compressed_f`` reduces the 9x9 pencil to a 6x6 one with the same
+    finite eigenvalues. The returned F is not rank-2 in general.
 
     With ``window = (lo, hi)`` only the candidates with lo <= beta <= hi are
     built and returned, in the same order as without it. A pencil with real
@@ -329,13 +330,7 @@ def solve_gep_f_beta(
     """
     if len(corr) != 9:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
-    ncorr, t1, t2 = _normalize_corr(corr)
-    m1, m2 = build_f_pencil(ncorr)
-    # columns 6..8 (third row of F) carry no beta term
-    b3 = m1[:, 6:9]
-    q2 = _complete_qr(b3)[0][:, 3:]
-    a6 = q2.T @ m1[:, :6]
-    c6 = q2.T @ m2[:, :6]
+    a6, c6, f_of, to_pixels = _compressed_f(corr)
     values, vectors = _ggev(a6, -c6)
     if not np.isfinite(values).any():
         raise DegenerateInput("pencil is singular for all beta")
@@ -346,11 +341,10 @@ def solve_gep_f_beta(
     # passes _split_real, and those outside the window need no model to decide.
     if not real and not _split_real(values, vectors):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
-    found = []
-    for beta, f6 in real:
-        f3 = _lstsq(b3, -(m1[:, :6] + beta * m2[:, :6]) @ f6)
-        found.append((beta, np.concatenate([f6, f3]).reshape(3, 3)))
-    return _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
+    # one candidate per call: a one-row matmul runs gemv, a stacked one gemm,
+    # and a candidate's bits must not depend on how many the window keeps
+    found = [(beta, f_of(np.array([beta]), f6[None])[0]) for beta, f6 in real]
+    return _candidates(to_pixels, found)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +365,10 @@ def solve_min_f_beta(
 ) -> list[SolverCandidate]:
     """Minimal fundamental matrix + time shift from 8 correspondences.
 
-    The QR of ``solve_gep_f_beta`` splits (M1 + beta M2) f = 0 into a 5x6
-    pencil (A + beta C) f6 = 0 and a triangular R f3 = -(A3 + beta C3) f6.
-    f6 is the pencil's six signed 5x5 minors, of degree <= 5, so f3 has
-    degree <= 6 and det F = (f6[:3] x f6[3:]) . f3 has degree <= 16. It is
+    ``_compressed_f`` splits (M1 + beta M2) f = 0 into a 5x6 pencil
+    (A + beta C) f6 = 0 and a triangular R f3 = -(A3 + beta C3) f6. f6 is
+    the pencil's six signed 5x5 minors, of degree <= 5, so f3 has degree
+    <= 6 and det F = (f6[:3] x f6[3:]) . f3 has degree <= 16. It is
     sampled at 17 Chebyshev nodes on ``window = (lo, hi)``, or on
     [-BETA_SPAN, BETA_SPAN] without one or for an empty or unbounded one,
     and its roots come from the colleague matrix. Only the real roots in the
@@ -384,20 +378,7 @@ def solve_min_f_beta(
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
-    ncorr, t1, t2 = _normalize_corr(corr)
-    m1, m2 = build_f_pencil(ncorr)
-    q, r = _complete_qr(m1[:, 6:9])
-    a, c = q.T @ m1[:, :6], q.T @ m2[:, :6]
-    a5, c5 = a[3:], c[3:]
-    # f3 = -(g[:, :6] + beta g[:, 6:]) f6; dtrtrs reads only r's upper triangle
-    g, info = dtrtrs(r, np.hstack([a[:3], c[:3]]))
-    if info != 0:
-        raise DegenerateInput("camera-1 points collinear, R is singular")
-
-    def f_of(betas, f6):
-        f3 = -(f6 @ g[:, :6].T + betas[:, None] * (f6 @ g[:, 6:].T))
-        return np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3)
-
+    a5, c5, f_of, to_pixels = _compressed_f(corr)
     lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if not 0 < half < math.inf:
@@ -423,7 +404,7 @@ def solve_min_f_beta(
     keep = ~(sing[:, -1] < 1e-8 * sing[:, 0])
     fs = f_of(betas, vt[:, -1])
     found = [(beta, f) for (beta, _), ok, f in zip(real, keep, fs) if ok]
-    return _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
+    return _candidates(to_pixels, found)
 
 
 # ---------------------------------------------------------------------------

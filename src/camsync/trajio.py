@@ -140,4 +140,4 @@ def sync_report_json(
         "seed": int(seed),
         "config": config,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -4,7 +4,7 @@
 LAPACK calls, reductions written out, scalar tests on Python floats. The
 functions here are the plain forms it must match bit for bit. Each one is
 the code the package ran before those rewrites, calling ``np.mean``,
-``np.linalg.norm``, ``np.linalg.qr``, ``np.linalg.lstsq``,
+``np.linalg.norm``, ``np.linalg.qr``, ``scipy.linalg.solve_triangular``,
 ``scipy.linalg.eig``'s post-processing and ``np.einsum`` directly, so a test
 can hold the two side by side, or patch ``camsync.robust``'s bindings with
 these and compare whole RANSAC runs. Every solver and refit here maps its
@@ -154,12 +154,12 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
     ncorr, t1, t2 = normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
-    b3 = m1[:, 6:9]
-    q, _ = np.linalg.qr(b3, mode="complete")
-    q2 = q[:, 3:]
-    a6 = q2.T @ m1[:, :6]
-    c6 = q2.T @ m2[:, :6]
-    values, vectors = ggev(a6, -c6)
+    q, r = np.linalg.qr(m1[:, 6:9], mode="complete")
+    a = q.T @ m1[:, :6]
+    c = q.T @ m2[:, :6]
+    g = scipy.linalg.solve_triangular(r[:3], np.hstack([a[:3], c[:3]]))
+    ga, gc = g[:, :6], g[:, 6:]
+    values, vectors = ggev(a[3:], -c[3:])
     if not np.any(np.isfinite(values)):
         raise DegenerateInput("pencil is singular for all beta")
     lo, hi = (-np.inf, np.inf) if window is None else window
@@ -169,8 +169,7 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates = []
     for beta, f6 in real:
-        rhs = -(m1[:, :6] + beta * m2[:, :6]) @ f6
-        f3, *_ = np.linalg.lstsq(b3, rhs, rcond=None)
+        f3 = -(f6 @ ga.T + beta * (f6 @ gc.T))
         fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
         fmat = t2.T @ fmat_n @ t1
         try:

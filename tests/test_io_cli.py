@@ -34,6 +34,13 @@ from camsync.trajio import (
 )
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def sample_trajectories():
     awkward = [0.1, 1 / 3, 1e-17, 123456.789012345, -0.0]
     t_a = Trajectory(
@@ -133,7 +140,7 @@ class TestSyncReport:
             seed=7,
             config={"threshold": 1.0},
         )
-        assert json.loads(text) == {
+        assert strict_json(text) == {
             "beta": 12.375,
             "rho": 1.0,
             "model": {"kind": FUNDAMENTAL, "matrix": model.m.ravel().tolist()},
@@ -151,7 +158,7 @@ class TestSyncReport:
             config={"z": 1, "a": 2},
         )
         # sorted keys, two-space indent, one trailing newline
-        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert text == json.dumps(strict_json(text), sort_keys=True, indent=2) + "\n"
         assert text.startswith('{\n  "beta": 0.1,\n  "config": {\n    "a": 2,')
 
 
@@ -179,7 +186,7 @@ class TestCliSynth:
             "synth", "--beta", "1.5", "--out", str(out), "--gt-out", str(gt_out),
         ])
         assert rc == EXIT_OK
-        payload = json.loads(gt_out.read_text())
+        payload = strict_json(gt_out.read_text())
         assert payload["beta_gt"] == 1.5
         assert len(payload["f"]) == 9
         assert len(payload["cameras"]) == 2
@@ -237,6 +244,30 @@ def test_python_dash_m_runs_the_cli():
     assert "{sync,synth,sweep}" in proc.stdout
 
 
+@pytest.mark.parametrize("command, option", [
+    ("sync", "--out"), ("synth", "--out"), ("synth", "--gt-out"), ("sweep", "--out"),
+])
+def test_unopenable_output_path_is_input_error(tmp_path, capsys, command, option):
+    missing = tmp_path / "no-such-dir" / "out"
+    csv_out = tmp_path / "scene.csv"
+    if command == "sync":
+        argv = ["sync", str(_make_scene_csv(csv_out)), "--single-shot"]
+    elif command == "synth":
+        argv = ["synth"] + (["--out", str(csv_out)] if option == "--gt-out" else [])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"betas": [1.0], "ds": [1], "scenes": 1,
+                                   "algorithms": ["f-7pt"], "n_frames": 60}))
+        argv = ["sweep", str(cfg)]
+    capsys.readouterr()
+    rc = main([*argv, option, str(missing)])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+    if option == "--gt-out":  # the ground truth is written after the CSV
+        assert len(read_trajectories(csv_out)) == 2
+
+
 class TestCliSync:
     def test_single_shot_recovers_shift(self, tmp_path, capsys):
         path = _make_scene_csv(tmp_path / "scene.csv", beta=2.0)
@@ -245,7 +276,7 @@ class TestCliSync:
             "--max-iterations", "200", "--seed", "1",
         ])
         assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert abs(report["beta"] - 2.0) < 1e-4
         assert report["inliers"] == report["total"]
 
@@ -269,7 +300,7 @@ class TestCliSync:
             "--fps", "25.0",
         ])
         assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["config"]["beta_seconds"] == pytest.approx(report["beta"] / 25.0)
 
     def test_iterative_loop_via_cli(self, tmp_path, capsys):
@@ -285,7 +316,7 @@ class TestCliSync:
             "--pmax", "4", "--max-iterations", "200", "--seed", "2",
         ])
         assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert abs(report["beta"] - 6.0) < 1.0
         assert len(report["log"]) >= 1
 
@@ -309,7 +340,7 @@ class TestCliSync:
             "--seed", "0",
         ])
         assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         accepted = [e for e in report["log"] if e["accepted"]]
         offset = accepted[-2]["j_after"] if len(accepted) > 1 else 0
         corr, _ = build_correspondences(t1, t2, float(offset), 1.0, accepted[-1]["d"])
@@ -338,8 +369,8 @@ class TestCliSync:
             (["--pmin", "3", "--pmax", "1"], "need 0 <= p_min <= p_max"),
             (["--rho", "0"], "rho must be positive and finite"),
             (["--single-shot", "--fps", "0"], "fps must be positive and finite"),
-            (["--beta-max", "-1"], "beta_max must be non-negative"),
-            (["--beta-max", "nan"], "beta_max must be non-negative"),
+            (["--beta-max", "-1"], "beta_max must be non-negative and finite"),
+            (["--beta-max", "nan"], "beta_max must be non-negative and finite"),
             (["--max-iterations", "0"], "max_iterations must be >= 1"),
             (["--max-iterations", "-5"], "max_iterations must be >= 1"),
             (["--single-shot", "--seed", "-1"], "seed must be in [0, 2**64 - 1]"),
@@ -353,6 +384,7 @@ class TestCliSync:
             (["--threshold", "inf"], "threshold must be positive and finite"),
             (["--single-shot", "--fps", "inf"], "fps must be positive and finite"),
             (["--kmax", "1"], "k_max must be >= 2"),
+            (["--beta-max", "inf"], "beta_max must be non-negative and finite"),
         ],
     )
     def test_out_of_range_option_is_input_error(self, tmp_path, capsys, opts, message):
@@ -460,7 +492,9 @@ class TestCliSweep:
         cfg.write_text(json.dumps(self._config(threshold=float("inf"))))
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
         assert rc == EXIT_INPUT
-        assert capsys.readouterr().err == "error: threshold must be positive and finite\n"
+        assert capsys.readouterr().err == (
+            "error: sweep config: threshold must be positive and finite\n"
+        )
         assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize(
@@ -478,6 +512,10 @@ class TestCliSweep:
             ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "kmax": [3]}, "'kmax'"),
             ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "rho": "fast"}, "'rho'"),
             ({"betas": [2.0], "scenes": 1, "algorithms": ["f-gep"], "ds": [0]}, "'ds'"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["iter-f"], "kmax": 1},
+             "k_max must be >= 2"),
+            ({"betas": [1], "scenes": 1, "algorithms": ["f-gep"], "ds": [1],
+              "max_iterations": 0}, "max_iterations must be >= 1"),
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config, message):
@@ -488,6 +526,29 @@ class TestCliSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: sweep config") and message in err
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("threshold", -1.0, "threshold must be positive and finite"),
+            ("max_iterations", 0, "max_iterations must be >= 1"),
+            ("rho", 0.0, "rho must be positive and finite"),
+            ("kmax", 1, "k_max must be >= 2"),
+        ],
+    )
+    def test_bad_setting_is_reported_before_any_scene(
+        self, tmp_path, capsys, monkeypatch, setting, value, message
+    ):
+        def no_scene(spec):
+            raise AssertionError("a scene was generated before the config was checked")
+
+        monkeypatch.setattr(camsync.cli, "generate_scene", no_scene)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(algorithms=["f-gep", "iter-f"],
+                                               **{setting: value})))
+        rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: sweep config: {message}\n"
 
     def test_rows_deterministic(self):
         cfg = self._config(betas=[1.0])

@@ -238,6 +238,9 @@ class TestRansacParams:
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="rho"):
                 RansacParams(rho=bad)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta_max must be non-negative and finite"):
+                RansacParams(beta_max=bad)
 
     def test_seed_range(self):
         for bad in (-1, 2**64):
