@@ -274,8 +274,9 @@ def run_sweep(config: dict) -> list[dict]:
     """Execute the experiment grid; returns one row dict per cell.
 
     A malformed config (not an object, a list setting that is not a list of
-    the right items, a value its setting cannot convert or the RANSAC and loop
-    settings reject) raises ValueError before any scene is generated.
+    the right items, a value its setting cannot convert, or RANSAC, loop or
+    scene settings, ``ds`` entries included, that their classes reject) raises
+    ValueError before any scene is generated.
     """
     if not isinstance(config, dict):
         raise ValueError("sweep config must be a JSON object")
@@ -308,40 +309,44 @@ def run_sweep(config: dict) -> list[dict]:
     pmin = _config_value(config, "pmin", int, 0)
     pmax = _config_value(config, "pmax", int, 5)
     kmax = _config_value(config, "kmax", int, 20)
+    # every setting and scene is checked before the first scene is generated
     try:
         rp = RansacParams(threshold=threshold, max_iterations=max_iters, rho=rho)
+        for d in ds:
+            replace(rp, d=d)
         ip = None  # each iterative cell sets its own kind, seed and d
         if any(a in ITER_KINDS for a in algorithms):
             ip = IterParams(KIND_F_GEP, k_max=kmax, p_min=pmin, p_max=pmax, ransac=rp)
-    except ValueError as exc:
+        scenes = []
+        for bi, beta in enumerate(betas):
+            for ni, noise in enumerate(noises):
+                for scene in range(n_scenes):
+                    ss = np.random.SeedSequence([master, bi, ni, scene])
+                    spec = SceneSpec(
+                        seed=int(ss.generate_state(1, dtype=np.uint64)[0] >> 1),
+                        n_frames=n_frames,
+                        beta_gt=float(beta),
+                        rho=rho,
+                        noise_sigma=float(noise),
+                        motion=motion,
+                        n_tracks=n_tracks,
+                        waypoint_spacing=spacing,
+                        speed_px_per_frame=speed,
+                    )
+                    scenes.append((f"b{bi}n{ni}s{scene}", beta, spec))
+    except (ValueError, OverflowError) as exc:  # float() of a huge int overflows
         raise ValueError(f"sweep config: {exc}") from None
 
     rows = []
-    for bi, beta in enumerate(betas):
-        for ni, noise in enumerate(noises):
-            for scene in range(n_scenes):
-                ss = np.random.SeedSequence([master, bi, ni, scene])
-                scene_seed = int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
-                spec = SceneSpec(
-                    seed=scene_seed,
-                    n_frames=n_frames,
-                    beta_gt=float(beta),
-                    rho=rho,
-                    noise_sigma=float(noise),
-                    motion=motion,
-                    n_tracks=n_tracks,
-                    waypoint_spacing=spacing,
-                    speed_px_per_frame=speed,
-                )
-                traj1, traj2, gt = generate_scene(spec)
-                scene_id = f"b{bi}n{ni}s{scene}"
-                for alg in algorithms:
-                    for d in [0] if alg in ITER_KINDS else ds:
-                        # iterative rows read d = 0; the loop sets its own d
-                        cell_rp = replace(rp, seed=scene_seed, d=d if d else 1)
-                        rows.append(_sweep_cell(
-                            scene_id, beta, d, alg, traj1, traj2, gt, cell_rp, ip
-                        ))
+    for scene_id, beta, spec in scenes:
+        traj1, traj2, gt = generate_scene(spec)
+        for alg in algorithms:
+            for d in [0] if alg in ITER_KINDS else ds:
+                # iterative rows read d = 0; the loop sets its own d
+                cell_rp = replace(rp, seed=spec.seed, d=d if d else 1)
+                rows.append(_sweep_cell(
+                    scene_id, beta, d, alg, traj1, traj2, gt, cell_rp, ip
+                ))
     return rows
 
 

@@ -209,7 +209,10 @@ def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarr
     nonzero residual.
     """
     e = epipolar_constraint(x2, f, x1)
-    l2 = x1 @ f.T  # epipolar lines in image 2
+    # gemm reads a C-ordered copy of F^T faster than the transposed view, with
+    # the same bits; a single row runs gemv, whose bits the copy would change
+    ft = np.ascontiguousarray(f.T) if x1.shape[0] > 1 else f.T
+    l2 = x1 @ ft  # epipolar lines in image 2
     l1 = x2 @ f  # epipolar lines in image 1
     g2 = l2[:, 0] ** 2 + l2[:, 1] ** 2 + l1[:, 0] ** 2 + l1[:, 1] ** 2
     out = np.full(e.shape, np.inf)

@@ -35,6 +35,7 @@ from .solvers import (
     SolverCandidate,
     fit_beta_at_model,
     fit_model_at_beta,
+    prepare_f_draws,
     solve_4pt_h,
     solve_7pt_f,
     solve_gep_f_beta,
@@ -53,6 +54,7 @@ KIND_H_4PT = "h-4pt"
 
 CONFIDENCE = 0.995  # adaptive termination: wanted chance that some draw is all inliers
 REFINE_ROUNDS = 2  # post-consensus least-squares rounds
+DRAW_BLOCK = 64  # most F-solver samples prepared at once; blocks grow 4, 8, ... to it
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,34 @@ def build_correspondences(
     return corr, keys
 
 
+def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet]:
+    """Each draw's sample, in draw order, up to ``params.max_iterations``.
+
+    Draw ``it`` takes the indices of ``default_rng(seed ^ it)``, so drawing
+    ahead changes no stream. The F kinds draw in blocks of 4, 8, ... up to
+    ``DRAW_BLOCK`` and prepare each block with one ``prepare_f_draws`` call;
+    samples drawn past the point where the caller stops are never solved.
+    """
+    m = solver_kind(kind).sample_size
+    n = len(corr)
+
+    def draw(it):
+        rng = np.random.default_rng(np.uint64(params.seed) ^ np.uint64(it))
+        return rng.choice(n, size=m, replace=False)
+
+    if kind not in (KIND_F_GEP, KIND_F_MIN):
+        for it in range(params.max_iterations):
+            yield corr.take(draw(it))
+        return
+    it, block = 0, min(4, DRAW_BLOCK)
+    while it < params.max_iterations:
+        count = min(block, params.max_iterations - it)
+        idx = np.array([draw(k) for k in range(it, it + count)])
+        yield from prepare_f_draws(corr.s1[idx], corr.u[idx], corr.v[idx])
+        it += count
+        block = min(2 * block, DRAW_BLOCK)
+
+
 def _generate(
     kind: str, sub: CorrSet, beta0: float, window: tuple[float, float]
 ) -> list[SolverCandidate]:
@@ -306,14 +336,12 @@ def ransac_estimate(
     valid_draws = 0
     iterations = 0
     lo, hi = params.window
-    for it in range(params.max_iterations):
+    for it, sub in enumerate(_samples(kind, corr, params)):
         if valid_draws >= needed:
             break
         iterations = it + 1
-        rng = np.random.default_rng(np.uint64(params.seed) ^ np.uint64(it))
-        idx = rng.choice(n, size=m, replace=False)
         try:
-            cands = _generate(kind, corr.take(idx), params.beta0, (lo, hi))
+            cands = _generate(kind, sub, params.beta0, (lo, hi))
         except (DegenerateInput, NoRealSolution):
             continue
         valid_draws += 1

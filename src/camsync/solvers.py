@@ -24,12 +24,14 @@ matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
 their candidates with ``_candidates``.
 
 The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
-overhead costs more than the arithmetic. So they call LAPACK directly: they
-share one compression (``dgeqrf`` and ``dorgqr``) and one back-substitution
-(``dtrtrs``), and f-gep's pencil goes to ``dggev``. Each call gives the bits
-of the numpy or scipy function it stands for, as do the stacked minors and
-the written-out reductions; ``tests/reference_kernels.py`` holds those plain
-forms.
+overhead costs more than the arithmetic. So ``prepare_f_draws`` compresses a
+whole block of RANSAC's samples at once (normalization, pencil, one stacked
+QR) and runs each sample's ``dtrtrs`` back-substitution; each solver call then
+takes one prepared sample, and a plain ``CorrSet`` is prepared as a block of
+one. f-gep's pencil goes to ``dggev`` directly. Each step gives the bits of
+the per-sample numpy or scipy function it stands for, as do the stacked
+minors and the written-out reductions; ``tests/reference_kernels.py`` holds
+those plain forms.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dggev, dorgqr, dtrtrs
+from scipy.linalg.lapack import dggev, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
 from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
@@ -95,7 +97,20 @@ def normalizing_transform(points: np.ndarray) -> np.ndarray:
     """Isotropic transform moving the centroid to the origin, mean norm sqrt(2).
 
     ``points`` is (..., n, 2) and the result (..., 3, 3): one transform per
-    point set. The reductions are the ones ``points.mean(axis=0)`` and
+    point set. Coincident points raise ``DegenerateInput``.
+    """
+    t, coincident = _normalizing_transforms(points)
+    if coincident is not None:
+        raise DegenerateInput("coincident points, cannot normalize")
+    return t
+
+
+def _normalizing_transforms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``normalizing_transform`` and ``coincident``: None, or True for each
+    point set whose mean distance to its centroid is below 1e-12. Such a set
+    gets a finite transform, as if that distance were 1.
+
+    The reductions are the ones ``points.mean(axis=0)`` and
     ``np.linalg.norm(points - c, axis=1).mean()`` run on each set, called
     without their wrappers; the bits are the same.
     """
@@ -103,14 +118,17 @@ def normalizing_transform(points: np.ndarray) -> np.ndarray:
     c = np.add.reduce(points, axis=-2) / n
     d = points - c[..., None, :]
     scale = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), axis=-1) / n
-    if (scale < 1e-12).any():
-        raise DegenerateInput("coincident points, cannot normalize")
+    coincident = scale < 1e-12
+    if coincident.any():
+        scale = np.where(coincident, 1.0, scale)
+    else:
+        coincident = None
     s = _SQRT2 / scale
     t = np.zeros(points.shape[:-2] + (3, 3))
     t[..., 0, 0] = t[..., 1, 1] = s
     t[..., :2, 2] = -s[..., None] * c
     t[..., 2, 2] = 1.0
-    return t
+    return t, coincident
 
 
 def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
@@ -123,8 +141,9 @@ def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
 
 
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise kron: row r is the coefficient vector of a_r^T X b_r in vec(X)."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], 9)
+    """Row-wise kron of (..., n, 3) rows: row r is the coefficient vector of
+    a_r^T X b_r in vec(X)."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (9,))
 
 
 def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -213,7 +232,8 @@ def _candidates(to_pixels, found) -> list[SolverCandidate]:
 
 
 def build_f_pencil(corr: CorrSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient matrices of (M1 + beta M2) f = 0 with f = vec(F) row-major."""
+    """Coefficient matrices of (M1 + beta M2) f = 0 with f = vec(F) row-major,
+    stacked like ``corr``'s (..., n, 3) arrays."""
     return _kron_rows(corr.u, corr.s1), _kron_rows(corr.v, corr.s1)
 
 
@@ -276,43 +296,74 @@ def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, vr
 
 
-def _complete_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.qr(a, mode="complete")`` for a tall m x n a, bit for bit:
-    ``dgeqrf`` then ``dorgqr`` on the m x m matrix that holds the reflectors
-    in its first columns, as numpy does. Q comes in C order, and R as the
-    upper triangle of an n x n block whose lower part holds reflectors."""
-    m, n = a.shape
-    qr, tau, _, info = dgeqrf(a)
-    full = np.empty((m, m), order="F")
-    full[:, :n] = qr
-    q, _, info2 = dorgqr(full, tau, overwrite_a=1)
-    if info or info2:
-        raise np.linalg.LinAlgError("QR factorization failed")
-    return np.ascontiguousarray(q), qr[:n]
+@dataclass
+class PreparedF(CorrSet):
+    """One F-solver sample with its compression done, as ``prepare_f_draws``
+    gives it: the sample rows and either ``degenerate``, the message its
+    solver raises, or the compressed system. That is the lower pencil rows
+    ``a`` and ``c`` (6x6 for f-gep, 5x6 for f-min), ``g`` = R^-1 [A3 C3] and
+    the normalizing transforms ``t1`` and ``t2``."""
 
+    a: np.ndarray | None = None
+    c: np.ndarray | None = None
+    g: np.ndarray | None = None
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    degenerate: str | None = None
 
-def _compressed_f(corr: CorrSet):
-    """Both F solvers' compression of (M1 + beta M2) f = 0, 9 or 8 rows.
-
-    The tangent has no homogeneous component, so M2 has three zero columns
-    and the QR of M1's third-row columns splits the system into a pencil
-    (A + beta C) f6 = 0, 6x6 or 5x6, and a triangular R f3 = -(A3 + beta C3)
-    f6. Returns A, C, ``f_of(betas, f6)`` building each normalized F from its
-    f6 row, and the pixel map."""
-    ncorr, t1, t2 = _normalize_corr(corr)
-    m1, m2 = build_f_pencil(ncorr)
-    q, r = _complete_qr(m1[:, 6:9])
-    a, c = q.T @ m1[:, :6], q.T @ m2[:, :6]
-    # f3 = -(g[:, :6] + beta g[:, 6:]) f6; dtrtrs reads only r's upper triangle
-    g, info = dtrtrs(r, np.hstack([a[:3], c[:3]]))
-    if info != 0:
-        raise DegenerateInput("camera-1 points collinear, R is singular")
-
-    def f_of(betas, f6):
+    def f_of(self, betas: np.ndarray, f6: np.ndarray) -> np.ndarray:
+        """The normalized F of each row of ``f6`` at its shift:
+        f3 = -(g[:, :6] + beta g[:, 6:]) f6."""
+        g = self.g
         f3 = -(f6 @ g[:, :6].T + betas[:, None] * (f6 @ g[:, 6:].T))
         return np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3)
 
-    return a[3:], c[3:], f_of, _to_pixels(FUNDAMENTAL, t1, t2)
+
+def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[PreparedF]:
+    """Both F solvers' compression of (M1 + beta M2) f = 0 for a block of
+    samples: ``s1``, ``u`` and ``v`` are (B, m, 3), m = 9 or 8.
+
+    The tangent has no homogeneous component, so M2 has three zero columns
+    and the QR of M1's third-row columns splits each system into a pencil
+    (A + beta C) f6 = 0, 6x6 or 5x6, and a triangular R f3 = -(A3 + beta C3)
+    f6. Normalization, pencils, QR and compression run on the whole block;
+    then each sample gets its own ``dtrtrs`` solve, which reads only R's
+    upper triangle. Coincident points or a singular R mark only their own
+    sample degenerate. Every result has the bits of its sample compressed
+    alone.
+    """
+    t, coincident = _normalizing_transforms(np.stack([s1[..., :2], u[..., :2]], axis=-3))
+    t1, t2 = t[:, 0], t[:, 1]
+    fine = [True] * len(s1) if coincident is None else (~coincident.any(axis=1)).tolist()
+    m1, m2 = build_f_pencil(CorrSet(s1 @ t1.mT, u @ t2.mT, v @ t2.mT))
+    q, r = np.linalg.qr(m1[..., 6:9], mode="complete")
+    qt = q.mT
+    a, c = qt @ m1[..., :6], qt @ m2[..., :6]
+    rhs = np.concatenate([a[:, :3], c[:, :3]], axis=-1)
+    out = []
+    for k, ok in enumerate(fine):
+        draw = PreparedF(s1[k], u[k], v[k])
+        if not ok:
+            draw.degenerate = "coincident points, cannot normalize"
+        else:
+            g, info = dtrtrs(r[k, :3], rhs[k])
+            if info != 0:
+                draw.degenerate = "camera-1 points collinear, R is singular"
+            else:
+                draw.a, draw.c, draw.g = a[k, 3:], c[k, 3:], g
+                draw.t1, draw.t2 = t1[k], t2[k]
+        out.append(draw)
+    return out
+
+
+def _prepared(corr: CorrSet) -> PreparedF:
+    """``corr`` as prepared, or prepared as a block of one; a degenerate
+    sample raises its ``DegenerateInput``."""
+    if not isinstance(corr, PreparedF):
+        corr = prepare_f_draws(corr.s1[None], corr.u[None], corr.v[None])[0]
+    if corr.degenerate is not None:
+        raise DegenerateInput(corr.degenerate)
+    return corr
 
 
 def solve_gep_f_beta(
@@ -320,8 +371,9 @@ def solve_gep_f_beta(
 ) -> list[SolverCandidate]:
     """Fundamental matrix + time shift from 9 correspondences via a 6x6 GEP.
 
-    ``_compressed_f`` reduces the 9x9 pencil to a 6x6 one with the same
-    finite eigenvalues. The returned F is not rank-2 in general.
+    ``corr`` is 9 rows, or one sample of ``prepare_f_draws``, whose
+    compression reduces the 9x9 pencil to a 6x6 one with the same finite
+    eigenvalues. The returned F is not rank-2 in general.
 
     With ``window = (lo, hi)`` only the candidates with lo <= beta <= hi are
     built and returned, in the same order as without it. A pencil with real
@@ -330,8 +382,8 @@ def solve_gep_f_beta(
     """
     if len(corr) != 9:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
-    a6, c6, f_of, to_pixels = _compressed_f(corr)
-    values, vectors = _ggev(a6, -c6)
+    draw = _prepared(corr)
+    values, vectors = _ggev(draw.a, -draw.c)
     if not np.isfinite(values).any():
         raise DegenerateInput("pencil is singular for all beta")
     real = _split_real(values, vectors, window)
@@ -343,8 +395,8 @@ def solve_gep_f_beta(
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     # one candidate per call: a one-row matmul runs gemv, a stacked one gemm,
     # and a candidate's bits must not depend on how many the window keeps
-    found = [(beta, f_of(np.array([beta]), f6[None])[0]) for beta, f6 in real]
-    return _candidates(to_pixels, found)
+    found = [(beta, draw.f_of(np.array([beta]), f6[None])[0]) for beta, f6 in real]
+    return _candidates(_to_pixels(FUNDAMENTAL, draw.t1, draw.t2), found)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +417,8 @@ def solve_min_f_beta(
 ) -> list[SolverCandidate]:
     """Minimal fundamental matrix + time shift from 8 correspondences.
 
-    ``_compressed_f`` splits (M1 + beta M2) f = 0 into a 5x6 pencil
+    ``corr`` is 8 rows, or one sample of ``prepare_f_draws``, whose
+    compression splits (M1 + beta M2) f = 0 into a 5x6 pencil
     (A + beta C) f6 = 0 and a triangular R f3 = -(A3 + beta C3) f6. f6 is
     the pencil's six signed 5x5 minors, of degree <= 5, so f3 has degree
     <= 6 and det F = (f6[:3] x f6[3:]) . f3 has degree <= 16. It is
@@ -378,7 +431,8 @@ def solve_min_f_beta(
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
-    a5, c5, f_of, to_pixels = _compressed_f(corr)
+    draw = _prepared(corr)
+    a5, c5 = draw.a, draw.c
     lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if not 0 < half < math.inf:
@@ -386,7 +440,7 @@ def solve_min_f_beta(
     nodes = mid + half * _NODES
     pencils = a5 + nodes[:, None, None] * c5
     minors = np.linalg.det(np.swapaxes(pencils[..., _MINOR5_COLS], -3, -2))
-    samples = np.linalg.det(f_of(nodes, _MINOR5_SIGNS * minors))
+    samples = np.linalg.det(draw.f_of(nodes, _MINOR5_SIGNS * minors))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
@@ -402,9 +456,9 @@ def solve_min_f_beta(
     betas = np.array([beta for beta, _ in real])
     _, sing, vt = np.linalg.svd(a5 + betas[:, None, None] * c5)
     keep = ~(sing[:, -1] < 1e-8 * sing[:, 0])
-    fs = f_of(betas, vt[:, -1])
+    fs = draw.f_of(betas, vt[:, -1])
     found = [(beta, f) for (beta, _), ok, f in zip(real, keep, fs) if ok]
-    return _candidates(to_pixels, found)
+    return _candidates(_to_pixels(FUNDAMENTAL, draw.t1, draw.t2), found)
 
 
 # ---------------------------------------------------------------------------

@@ -149,17 +149,28 @@ def ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, vr
 
 
-def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
-    if len(corr) != 9:
-        raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
+def compress_f(corr: CorrSet):
+    """One sample's compressed F system, as ``solvers.prepare_f_draws`` gives
+    it for each sample of a block: the lower pencil rows a and c, g with
+    R f3 = -(g[:, :6] + beta g[:, 6:]) f6, and the normalizing transforms."""
     ncorr, t1, t2 = normalize_corr(corr)
     m1, m2 = build_f_pencil(ncorr)
     q, r = np.linalg.qr(m1[:, 6:9], mode="complete")
     a = q.T @ m1[:, :6]
     c = q.T @ m2[:, :6]
-    g = scipy.linalg.solve_triangular(r[:3], np.hstack([a[:3], c[:3]]))
+    try:
+        g = scipy.linalg.solve_triangular(r[:3], np.hstack([a[:3], c[:3]]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput("camera-1 points collinear, R is singular") from exc
+    return a[3:], c[3:], g, t1, t2
+
+
+def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
+    if len(corr) != 9:
+        raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
+    a6, c6, g, t1, t2 = compress_f(corr)
     ga, gc = g[:, :6], g[:, 6:]
-    values, vectors = ggev(a[3:], -c[3:])
+    values, vectors = ggev(a6, -c6)
     if not np.any(np.isfinite(values)):
         raise DegenerateInput("pencil is singular for all beta")
     lo, hi = (-np.inf, np.inf) if window is None else window
@@ -183,12 +194,7 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
 def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
-    ncorr, t1, t2 = normalize_corr(corr)
-    m1, m2 = build_f_pencil(ncorr)
-    q, r = np.linalg.qr(m1[:, 6:9], mode="complete")
-    a = q.T @ m1[:, :6]
-    c = q.T @ m2[:, :6]
-    g = scipy.linalg.solve_triangular(r[:3], np.hstack([a[:3], c[:3]]))
+    a5, c5, g, t1, t2 = compress_f(corr)
     ga, gc = g[:, :6], g[:, 6:]
     lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -198,7 +204,7 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     signs = np.array([(-1.0) ** k for k in range(6)])
     f6 = []
     for beta in nodes:
-        pencil = a[3:] + beta * c[3:]
+        pencil = a5 + beta * c5
         f6.append(signs * np.linalg.det(np.stack([np.delete(pencil, k, axis=1) for k in range(6)])))
     f6 = np.array(f6)
     f3 = -(f6 @ ga.T + nodes[:, None] * (f6 @ gc.T))
@@ -216,7 +222,7 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if not real and not split_real(roots[~inside]):
         raise NoRealSolution("no real root of the determinant polynomial")
     betas = np.array([beta for beta, _ in real])
-    _, sing, vt = np.linalg.svd(a[3:] + betas[:, None, None] * c[3:])
+    _, sing, vt = np.linalg.svd(a5 + betas[:, None, None] * c5)
     f6 = vt[:, -1]
     # stacked as in camsync: a one-row matmul calls gemv, not gemm
     f3 = -(f6 @ ga.T + betas[:, None] * (f6 @ gc.T))

@@ -271,6 +271,17 @@ class TestEpipolarReduction:
         assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
         assert np.all(got[nan_rows] == np.inf)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_rows_bit_identical(self, n):
+        # one row runs gemv on the transposed F, two rows gemm on its copy
+        rng = np.random.default_rng(40 + n)
+        for _ in range(200):
+            f = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+            x1, x2 = (np.column_stack([rng.uniform(-500, 500, (n, 2)), np.ones(n)])
+                      for _ in range(2))
+            got = sampson_distances(f, x1, x2)
+            assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
+
 
 class TestHomographyResidual:
     @staticmethod

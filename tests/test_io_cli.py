@@ -534,6 +534,9 @@ class TestCliSweep:
             ("max_iterations", 0, "max_iterations must be >= 1"),
             ("rho", 0.0, "rho must be positive and finite"),
             ("kmax", 1, "k_max must be >= 2"),
+            ("noise", [0.0, -1.0], "noise_sigma must be >= 0"),
+            ("ds", [1, 2**63], "|d| must be <= 2**63 - 1"),
+            ("betas", [0.0, 10**400], "int too large to convert to float"),
         ],
     )
     def test_bad_setting_is_reported_before_any_scene(

@@ -511,6 +511,81 @@ class TestCandidateOrder:
         assert any(reordered)
 
 
+class TestDrawBlocks:
+    """RANSAC prepares the F kinds' samples in blocks but calls the solver
+    once per draw, in draw order, so the block size changes nothing."""
+
+    @staticmethod
+    def run_with_blocks(monkeypatch, size, run):
+        """``run()`` with ``DRAW_BLOCK`` = size, and its F-solver calls."""
+        calls = []
+
+        def counted(solve):
+            def wrapper(*args):
+                calls.append(len(args[0]))
+                return solve(*args)
+            return wrapper
+
+        with monkeypatch.context() as patched:
+            patched.setattr(robust, "DRAW_BLOCK", size)
+            for name in ("solve_gep_f_beta", "solve_min_f_beta"):
+                patched.setattr(robust, name, counted(getattr(robust, name)))
+            return run(), calls
+
+    @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_F_MIN, KIND_H_MIN])
+    @pytest.mark.parametrize("max_iterations", [1, 3, 13, 100])
+    def test_one_sample_per_draw_from_its_own_stream(self, kind, max_iterations):
+        t1, t2, _ = noisy_scene()
+        corr, _ = build_correspondences(t1, t2, 0.0, 1.0, 1)
+        params = RansacParams(seed=9, max_iterations=max_iterations)
+        samples = list(robust._samples(kind, corr, params))
+        assert len(samples) == max_iterations
+        m = SOLVER_KINDS[kind].sample_size
+        for it, sub in enumerate(samples):
+            rng = np.random.default_rng(np.uint64(9) ^ np.uint64(it))
+            want = corr.take(rng.choice(len(corr), size=m, replace=False))
+            for f in ("s1", "u", "v"):
+                assert getattr(sub, f).tobytes() == getattr(want, f).tobytes()
+
+    @pytest.mark.parametrize("max_iterations", [500, 10])
+    @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_F_MIN])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_size_changes_nothing(self, monkeypatch, kind, seed, max_iterations):
+        # acceptance criterion 10's scene; 10 draws end inside a block
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=seed, beta_gt=3.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
+            waypoint_spacing=120.0,
+        ))
+        (t1, t2), _ = inject_outliers(t1, t2, 0.3, seed=seed + 777)
+        params = RansacParams(seed=seed, threshold=3.0, max_iterations=max_iterations, d=4)
+        got = []
+        for size in (1, 64):
+            res, calls = self.run_with_blocks(
+                monkeypatch, size, lambda: ransac_estimate(t1, t2, kind, params)
+            )
+            # one solver call per draw, none for samples drawn past the stop
+            assert len(calls) == res.iterations_run
+            got.append(result_bytes(res))
+        assert got[0] == got[1]
+
+    def test_block_size_changes_nothing_in_a_sync(self, monkeypatch):
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=4, beta_gt=12.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
+            waypoint_spacing=300.0, speed_px_per_frame=4.0,
+        ))
+        params = IterParams(kind=KIND_F_GEP, k_max=8, ransac=RansacParams(
+            seed=4, max_iterations=60, threshold=5.0,
+        ))
+        got = []
+        for size in (1, 64):
+            run, calls = self.run_with_blocks(
+                monkeypatch, size, lambda: iterative_sync(t1, t2, params)
+            )
+            assert run.accepted_steps >= 2
+            got.append((sync_bytes(run), len(calls)))
+        assert got[0] == got[1]
+
+
 class TestBitIdenticalToReferenceKernels:
     """robust's solver, scoring and refit bindings patched with the plain
     numpy forms of ``reference_kernels`` give the bytes the rewritten kernels

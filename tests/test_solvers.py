@@ -29,12 +29,12 @@ from camsync.robust import build_correspondences
 from camsync import solvers
 from camsync.solvers import (
     CorrSet,
-    _complete_qr,
     _ggev,
     _normalize_corr,
     _split_real,
     build_f_pencil,
     normalizing_transform,
+    prepare_f_draws,
 )
 
 import reference_kernels as ref
@@ -334,31 +334,111 @@ class TestDirectGgev:
             solve_gep_f_beta(corr, (-10.0, 10.0))
 
 
-def tall_matrices(seed):
-    """The QR's inputs: a draw's third-row columns, and other tall shapes."""
+def tall_matrices(seed, rows):
+    """The QR's inputs, rows x 3: a sample's third-row columns, and ones with
+    two equal columns, a zero column or numerical rank 2."""
     rng = np.random.default_rng(seed)
-    m1, _ = build_f_pencil(_normalize_corr(random_corrset(rng))[0])
-    dup = rng.normal(size=(9, 3))
+    m1, _ = build_f_pencil(_normalize_corr(random_corrset(rng).take(np.arange(rows)))[0])
+    dup = rng.normal(size=(rows, 3))
     dup[:, 2] = dup[:, 0]
-    zero = rng.normal(size=(9, 3)) * 1e3
+    zero = rng.normal(size=(rows, 3)) * 1e3
     zero[:, 1] = 0.0
     # numerically rank 2: one singular value of 5e-16
-    u, _ = np.linalg.qr(rng.normal(size=(9, 3)))
+    u, _ = np.linalg.qr(rng.normal(size=(rows, 3)))
     v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     near = u @ np.diag([1.0, 0.5, 5e-16]) @ v.T
-    return [m1[:, 6:9], dup, zero, near, rng.normal(size=(7, 2)),
-            rng.normal(size=(12, 5)) * 1e-3]
+    return [m1[:, 6:9], dup, zero, near]
 
 
-class TestDirectQr:
+class TestStackedQr:
+    """``prepare_f_draws`` takes one ``np.linalg.qr`` of a block's stacked
+    third-row columns; each matrix's factors are those of its own QR."""
+
     @pytest.mark.parametrize("seed", range(10))
-    def test_bit_identical_to_numpy_qr(self, seed):
-        for a in tall_matrices(seed):
-            want_q, want_r = np.linalg.qr(a, mode="complete")
-            got_q, got_r = _complete_qr(a)
-            assert got_q.flags.c_contiguous == want_q.flags.c_contiguous
-            assert got_q.tobytes() == want_q.tobytes()
-            assert np.triu(got_r).tobytes() == want_r[:a.shape[1]].tobytes()
+    def test_bit_identical_to_per_matrix_qr(self, seed):
+        for rows in (9, 8):
+            block = np.stack(tall_matrices(seed, rows))
+            q, r = np.linalg.qr(block, mode="complete")
+            for k, a in enumerate(block):
+                want_q, want_r = np.linalg.qr(a, mode="complete")
+                assert q[k].tobytes() == want_q.tobytes()
+                assert r[k].tobytes() == want_r.tobytes()
+
+
+def f_sample(rng, rows, kind="random"):
+    """``rows`` random correspondences; with ``kind`` "coincident" or
+    "coincident-u" the camera-1 or camera-2 points coincide, and with
+    "collinear" the camera-1 points lie on one image row."""
+    corr = random_corrset(rng).take(np.arange(rows))
+    if kind == "coincident":
+        corr.s1[:, :2] = [3.0, 4.0]
+    elif kind == "coincident-u":
+        corr.u[:, :2] = [3.0, 4.0]
+    elif kind == "collinear":
+        corr.s1[:, 1] = 500.0
+    return corr
+
+
+def prepare_block(samples):
+    return prepare_f_draws(*(np.stack([getattr(c, f) for c in samples])
+                             for f in ("s1", "u", "v")))
+
+
+class TestPrepareFDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from([9, 8]),
+        kinds=st.lists(
+            st.sampled_from(["random", "random", "coincident", "coincident-u", "collinear"]),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_bit_identical_to_per_sample_reference(self, seed, rows, kinds):
+        """A block's stacked normalization, pencils, QR and compression give
+        each sample the bytes of ``normalize_corr``, ``np.linalg.qr`` and
+        ``scipy.linalg.solve_triangular`` run on that sample alone."""
+        rng = np.random.default_rng(seed)
+        samples = [f_sample(rng, rows, kind) for kind in kinds]
+        for draw, corr in zip(prepare_block(samples), samples):
+            for f in ("s1", "u", "v"):
+                assert getattr(draw, f).tobytes() == getattr(corr, f).tobytes()
+            try:
+                want = [x.tobytes() for x in ref.compress_f(corr)]
+            except DegenerateInput as exc:
+                want = str(exc)
+            if draw.degenerate is None:
+                got = [x.tobytes() for x in (draw.a, draw.c, draw.g, draw.t1, draw.t2)]
+            else:
+                got = draw.degenerate
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "solver, rows", [(solve_gep_f_beta, 9), (solve_min_f_beta, 8)], ids=["f-gep", "f-min"]
+    )
+    def test_degenerate_samples_fail_alone(self, solver, rows):
+        kinds = ["random", "coincident", "random", "collinear", "random"]
+        rng = np.random.default_rng(7)
+        samples = [f_sample(rng, rows, kind) for kind in kinds]
+
+        def run(corr):
+            try:
+                return candidate_bytes(solver(corr, (-40.0, 40.0)))
+            except (DegenerateInput, NoRealSolution) as exc:
+                return type(exc).__name__, str(exc)
+
+        results = []
+        for kind, draw, corr in zip(kinds, prepare_block(samples), samples):
+            results.append(run(draw))
+            if kind == "coincident":
+                assert results[-1] == ("DegenerateInput", "coincident points, cannot normalize")
+            elif kind == "collinear":
+                assert results[-1] == (
+                    "DegenerateInput", "camera-1 points collinear, R is singular"
+                )
+            else:  # as if compressed alone
+                assert results[-1] == run(corr)
+        assert any(isinstance(r, list) and r for r in results)  # some gave candidates
 
 
 class TestNormalizingTransform:
@@ -584,11 +664,9 @@ class TestMinFBeta:
         v[7, :2] = v[6, :2] + [3.0, -2.0]
         u[7] = u[6] + beta * (v[6] - v[7])
         corr = CorrSet(s1, u, v)
-        ncorr, _, _ = _normalize_corr(corr)
-        m1, m2 = build_f_pencil(ncorr)
         # the compressed 5x6 pencil, as the solver forms it
-        q2 = _complete_qr(m1[:, 6:9])[0][:, 3:]
-        sing = np.linalg.svd(q2.T @ (m1 + beta * m2)[:, :6], compute_uv=False)
+        draw = prepare_f_draws(corr.s1[None], corr.u[None], corr.v[None])[0]
+        sing = np.linalg.svd(draw.a + beta * draw.c, compute_uv=False)
         assert sing[-1] < 1e-8 * sing[0]
         monkeypatch.setattr(
             np.polynomial.chebyshev, "chebroots", lambda c: np.array([beta / 16.0])
