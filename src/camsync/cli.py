@@ -295,8 +295,6 @@ def run_sweep(config: dict) -> list[dict]:
     for a in algorithms:
         if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
-    if 0 in ds:
-        raise ValueError("sweep config 'ds': d must be nonzero")
     master = _config_value(config, "seed", int, 0)
     motion = config.get("motion", "smooth-random")
     rho = _config_value(config, "rho", float, 1.0)
@@ -313,7 +311,10 @@ def run_sweep(config: dict) -> list[dict]:
     try:
         rp = RansacParams(threshold=threshold, max_iterations=max_iters, rho=rho)
         for d in ds:
-            replace(rp, d=d)
+            try:
+                replace(rp, d=d)
+            except ValueError as exc:
+                raise ValueError(f"'ds': {exc}") from None
         ip = None  # each iterative cell sets its own kind, seed and d
         if any(a in ITER_KINDS for a in algorithms):
             ip = IterParams(KIND_F_GEP, k_max=kmax, p_min=pmin, p_max=pmax, ransac=rp)

@@ -337,8 +337,6 @@ def ransac_estimate(
     iterations = 0
     lo, hi = params.window
     for it, sub in enumerate(_samples(kind, corr, params)):
-        if valid_draws >= needed:
-            break
         iterations = it + 1
         try:
             cands = _generate(kind, sub, params.beta0, (lo, hi))
@@ -368,6 +366,8 @@ def ransac_estimate(
                         params.max_iterations,
                         math.ceil(math.log(1.0 - CONFIDENCE) / denom),
                     )
+        if valid_draws >= needed:  # before the next sample is drawn or prepared
+            break
     if best is None:
         raise AllDegenerate(
             f"no usable hypothesis in {iterations} iterations ({valid_draws} valid draws)"

@@ -335,9 +335,10 @@ def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Prepar
     t, coincident = _normalizing_transforms(np.stack([s1[..., :2], u[..., :2]], axis=-3))
     t1, t2 = t[:, 0], t[:, 1]
     fine = [True] * len(s1) if coincident is None else (~coincident.any(axis=1)).tolist()
-    m1, m2 = build_f_pencil(CorrSet(s1 @ t1.mT, u @ t2.mT, v @ t2.mT))
+    t1t, t2t = np.swapaxes(t1, -1, -2), np.swapaxes(t2, -1, -2)
+    m1, m2 = build_f_pencil(CorrSet(s1 @ t1t, u @ t2t, v @ t2t))
     q, r = np.linalg.qr(m1[..., 6:9], mode="complete")
-    qt = q.mT
+    qt = np.swapaxes(q, -1, -2)
     a, c = qt @ m1[..., :6], qt @ m2[..., :6]
     rhs = np.concatenate([a[:, :3], c[:, :3]], axis=-1)
     out = []

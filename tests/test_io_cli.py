@@ -535,7 +535,7 @@ class TestCliSweep:
             ("rho", 0.0, "rho must be positive and finite"),
             ("kmax", 1, "k_max must be >= 2"),
             ("noise", [0.0, -1.0], "noise_sigma must be >= 0"),
-            ("ds", [1, 2**63], "|d| must be <= 2**63 - 1"),
+            ("ds", [1, 2**63], "'ds': |d| must be <= 2**63 - 1"),
             ("betas", [0.0, 10**400], "int too large to convert to float"),
         ],
     )

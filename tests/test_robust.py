@@ -31,7 +31,7 @@ from camsync.robust import (
     score_candidate,
 )
 from camsync import robust
-from camsync.solvers import SolverCandidate, _skew_rows
+from camsync.solvers import SolverCandidate, _skew_rows, prepare_f_draws
 from camsync.sync import IterParams, iterative_sync
 from camsync.synth import PLANAR_SMOOTH
 
@@ -517,8 +517,9 @@ class TestDrawBlocks:
 
     @staticmethod
     def run_with_blocks(monkeypatch, size, run):
-        """``run()`` with ``DRAW_BLOCK`` = size, and its F-solver calls."""
-        calls = []
+        """``run()`` with ``DRAW_BLOCK`` = size, its F-solver calls and the
+        sizes of the blocks it prepared."""
+        calls, blocks = [], []
 
         def counted(solve):
             def wrapper(*args):
@@ -526,11 +527,16 @@ class TestDrawBlocks:
                 return solve(*args)
             return wrapper
 
+        def prepare(s1, u, v):
+            blocks.append(len(s1))
+            return prepare_f_draws(s1, u, v)
+
         with monkeypatch.context() as patched:
             patched.setattr(robust, "DRAW_BLOCK", size)
+            patched.setattr(robust, "prepare_f_draws", prepare)
             for name in ("solve_gep_f_beta", "solve_min_f_beta"):
                 patched.setattr(robust, name, counted(getattr(robust, name)))
-            return run(), calls
+            return run(), calls, blocks
 
     @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_F_MIN, KIND_H_MIN])
     @pytest.mark.parametrize("max_iterations", [1, 3, 13, 100])
@@ -560,11 +566,13 @@ class TestDrawBlocks:
         params = RansacParams(seed=seed, threshold=3.0, max_iterations=max_iterations, d=4)
         got = []
         for size in (1, 64):
-            res, calls = self.run_with_blocks(
+            res, calls, blocks = self.run_with_blocks(
                 monkeypatch, size, lambda: ransac_estimate(t1, t2, kind, params)
             )
-            # one solver call per draw, none for samples drawn past the stop
+            # one solver call per draw, none for samples drawn past the stop,
+            # and no block prepared after the one holding the last draw
             assert len(calls) == res.iterations_run
+            assert sum(blocks[:-1]) < res.iterations_run <= sum(blocks)
             got.append(result_bytes(res))
         assert got[0] == got[1]
 
@@ -578,7 +586,7 @@ class TestDrawBlocks:
         ))
         got = []
         for size in (1, 64):
-            run, calls = self.run_with_blocks(
+            run, calls, _ = self.run_with_blocks(
                 monkeypatch, size, lambda: iterative_sync(t1, t2, params)
             )
             assert run.accepted_steps >= 2

@@ -1,12 +1,12 @@
-"""Compare two source trees on the benchmark in alternating pairs of runs.
+"""Compare a base revision with the working tree on the benchmark.
 
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 5 --out BENCH_<n>.json
 
-Exports ``--base`` (a git revision) and ``--head`` (a revision, or ``.`` for
-the working tree's tracked and unignored files) into fresh directories, then
-runs the command that BENCHMARK.json declares once per side and workload for
-each of ``--pairs`` pairs, alternating which side runs first. Every run uses
-the same ``--seed`` and ``--seconds``. After the pairs, one traced run
+Exports ``--base`` (a git revision) and the working tree's tracked and
+unignored files into fresh directories, then runs the command that
+BENCHMARK.json declares once per side and workload for each of ``--pairs``
+pairs, alternating which side runs first. Every run uses seed 0 and
+BENCHMARK.json's ``run_seconds``. After the pairs, one traced run
 (``--trace 1``) per side and workload records the per-layer metrics.
 
 The output JSON holds, per workload and end-to-end metric, each side's
@@ -32,6 +32,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+SEED = 0
 
 
 def git(*args: str) -> bytes:
@@ -39,27 +40,28 @@ def git(*args: str) -> bytes:
                           capture_output=True).stdout
 
 
-def export(rev: str, dest: str) -> str:
-    """Write ``rev``'s files (``.``: the working tree's) into ``dest``;
-    returns a description of what was exported."""
-    os.makedirs(dest)
-    if rev == ".":
-        for name in git("ls-files", "-z", "-co", "--exclude-standard").split(b"\0"):
-            path = os.fsdecode(name)
-            src = os.path.join(ROOT, path)
-            if path and os.path.isfile(src):
-                os.makedirs(os.path.join(dest, os.path.dirname(path)), exist_ok=True)
-                shutil.copy2(src, os.path.join(dest, path))
-        return "working tree at " + git("rev-parse", "--short", "HEAD").decode().strip()
+def export_base(rev: str, dest: str) -> str:
+    """Write ``rev``'s files into ``dest``; returns its short hash."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
     return git("rev-parse", "--short", rev).decode().strip()
 
 
-def run(tree: str, command: list, workload: str, seed: int, seconds: float,
-        trace: int) -> dict:
+def export_head(dest: str) -> str:
+    """Write the working tree's tracked and unignored files into ``dest``;
+    returns a description of them."""
+    for name in git("ls-files", "-z", "-co", "--exclude-standard").split(b"\0"):
+        path = os.fsdecode(name)
+        src = os.path.join(ROOT, path)
+        if path and os.path.isfile(src):
+            os.makedirs(os.path.join(dest, os.path.dirname(path)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, path))
+    return "working tree at " + git("rev-parse", "--short", "HEAD").decode().strip()
+
+
+def run(tree: str, command: list, workload: str, seconds: float, trace: int) -> dict:
     """One benchmark run in ``tree``; the JSON object of its last stdout line."""
-    argv = [*command, "--workload", workload, "--seed", str(seed),
+    argv = [*command, "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -99,12 +101,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base tree")
-    parser.add_argument("--head", default=".", help="git revision, or . for the working tree")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workloads", nargs="*", default=None)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -113,25 +110,24 @@ def main(argv=None) -> int:
     workdir = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
         trees = {side: os.path.join(workdir, side) for side in SIDES}
-        revs = {side: export(rev, trees[side])
-                for side, rev in zip(SIDES, (args.base, args.head))}
+        revs = {"base": export_base(args.base, trees["base"]),
+                "head": export_head(trees["head"])}
         with open(os.path.join(trees["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
-        seconds = bench["run_seconds"] if args.seconds is None else args.seconds
-        workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
         out = {
             "base": revs["base"], "head": revs["head"], "machine": machine(),
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "command": bench["command"], "seconds": seconds, "seed": args.seed,
+            "command": bench["command"], "seconds": seconds, "seed": SEED,
             "pairs": args.pairs, "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     print(f"{workload} pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
                     runs[side].append(run(trees[side], bench["command"], workload,
-                                          args.seed, seconds, 0))
+                                          seconds, 0))
             metrics = {}
             for spec in bench["end_to_end"]:
                 name = spec["name"]
@@ -147,7 +143,7 @@ def main(argv=None) -> int:
             traced = {}
             for side in SIDES:
                 print(f"{workload} traced: {side}", file=sys.stderr)
-                res = run(trees[side], bench["command"], workload, args.seed, seconds, 1)
+                res = run(trees[side], bench["command"], workload, seconds, 1)
                 traced[side] = {
                     "correct": res["correct"], "failed": res["failed"],
                     "metrics": {k: v["value"] for k, v in res["metrics"].items()},
