@@ -22,7 +22,6 @@ from .geometry import (
     Trajectory,
     TwoViewModel,
     linearize,
-    model_distance,
 )
 from .pose import (
     CameraCalib,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,67 +179,113 @@ class TwoViewModel:
         return TwoViewModel.normalized(self.kind, u @ np.diag(s) @ vt)
 
 
-def model_distance(a: TwoViewModel, b: TwoViewModel) -> float:
-    """Frobenius distance after sign/scale normalization."""
-    return float(np.linalg.norm(a.m - b.m))
+class Points(NamedTuple):
+    """(n, 3) homogeneous image points as the residual kernels read them.
 
-
-def epipolar_constraint(x2: np.ndarray, f: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """x2_i^T F x1_i per row: ``np.einsum("ij,jk,ik->i", x2, f, x1)``'s bits.
-
-    The einsum adds the nine products (x2_ij F_jk) x1_ik of a row one after
-    another, j-major; so does this, one array addition per product, at about
-    half the einsum's cost. (``np.add.reduce`` over the nine would add them
-    pairwise when there is a single row.) The two differ only in the sign of
-    an exact zero.
+    The kernels' matrix products read ``xyw``; their per-row arithmetic reads
+    the columns ``x``, ``y`` and ``w``, each contiguous. ``w`` is None when
+    every third coordinate is exactly 1: a product by it changes no bits, so
+    the kernels skip it.
     """
-    terms = f[:, :, None] * x2.T[:, None, :]
-    terms *= x1.T
-    terms = terms.reshape(9, -1)
-    e = terms[0] + terms[1]
-    for term in terms[2:]:
-        e += term
-    return e
+
+    xyw: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray | None
+
+    @classmethod
+    def of(cls, xyw: np.ndarray) -> "Points":
+        """``xyw`` with its columns copied out once."""
+        xyw = np.asarray(xyw, dtype=float)
+        x, y, w = np.ascontiguousarray(xyw.T)
+        return cls(xyw, x, y, None if (w == 1).all() else w)
 
 
 def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """First-order Sampson distance of x2^T F x1 = 0 for (n, 3) homogeneous
+    rows x1, x2; see ``sampson``."""
+    return sampson(f, Points.of(x1), Points.of(x2))
+
+
+def transfer_distances(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Symmetric transfer error of x2 ~ H x1 for (n, 3) homogeneous rows x1,
+    x2; see ``symmetric_transfer``."""
+    return symmetric_transfer(h, Points.of(x1), Points.of(x2))
+
+
+def sampson(f: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
     """First-order Sampson distance of x2^T F x1 = 0, vectorized over rows.
 
-    x1, x2: (n, 3) homogeneous points. Returns 0 where the residual is zero
-    and +inf where the constraint gradient vanishes (or is NaN) with a
-    nonzero residual.
+    Returns 0 where the residual is zero and +inf where the constraint
+    gradient vanishes (or is NaN) with a nonzero residual.
+
+    The residual adds the nine products (x2_j F_jk) x1_k of a row one after
+    another, j-major, as ``np.einsum("ij,jk,ik->i", x2, f, x1)`` does, one
+    array addition per product. (``np.add.reduce`` over the nine would add
+    them pairwise when there is a single row.) The two differ only in the sign
+    of an exact zero, which the distance does not show.
     """
-    e = epipolar_constraint(x2, f, x1)
+    fl = f.tolist()
+    e = term = None
+    for j, a in enumerate((p2.x, p2.y, p2.w)):
+        for k, b in enumerate((p1.x, p1.y, p1.w)):
+            if a is None and b is None:
+                e += fl[j][k]
+                continue
+            if a is None:
+                term = np.multiply(b, fl[j][k], out=term)
+            else:
+                term = np.multiply(a, fl[j][k], out=term)
+                if b is not None:
+                    term *= b
+            if e is None:  # j = k = 0: both columns are present
+                e, term = term, None
+            else:
+                e += term
     # gemm reads a C-ordered copy of F^T faster than the transposed view, with
     # the same bits; a single row runs gemv, whose bits the copy would change
-    ft = np.ascontiguousarray(f.T) if x1.shape[0] > 1 else f.T
-    l2 = x1 @ ft  # epipolar lines in image 2
-    l1 = x2 @ f  # epipolar lines in image 1
-    g2 = l2[:, 0] ** 2 + l2[:, 1] ** 2 + l1[:, 0] ** 2 + l1[:, 1] ** 2
+    ft = np.ascontiguousarray(f.T) if len(e) > 1 else f.T
+    l2 = p1.xyw @ ft  # epipolar lines in image 2
+    l1 = p2.xyw @ f  # epipolar lines in image 1
+    g2 = l2[:, 0] ** 2
+    g2 += l2[:, 1] ** 2
+    g2 += l1[:, 0] ** 2
+    g2 += l1[:, 1] ** 2
     out = np.full(e.shape, np.inf)
     np.divide(np.abs(e), np.sqrt(g2), out=out, where=g2 > 0)
     out[e == 0] = 0.0
     return out
 
 
-def transfer_distances(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def symmetric_transfer(h: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
     """Symmetric transfer error of x2 ~ H x1, vectorized over rows.
 
-    Returns +inf where either transfer lands on the plane at infinity.
+    Returns +inf where either transfer lands on the plane at infinity
+    (|w| <= 1e-14). Each distance is ``sqrt(dx*dx + dy*dy)``, the two-term
+    sum ``np.linalg.norm(axis=1)`` takes, over columns divided one by one.
     """
     det = np.linalg.det(h)
     if abs(det) < 1e-14:
         raise SingularModel(f"homography is singular (det={det:.3e})")
-    hinv = np.linalg.inv(h)
-    fwd = x1 @ h.T
-    bwd = x2 @ hinv.T
-    out = np.full(x1.shape[0], np.inf)
-    ok = (np.abs(fwd[:, 2]) > 1e-14) & (np.abs(bwd[:, 2]) > 1e-14)
-    fw = fwd[ok, :2] / fwd[ok, 2:3]
-    bw = bwd[ok, :2] / bwd[ok, 2:3]
-    p1 = x1[ok, :2] / x1[ok, 2:3]
-    p2 = x2[ok, :2] / x2[ok, 2:3]
-    out[ok] = 0.5 * (
-        np.linalg.norm(fw - p2, axis=1) + np.linalg.norm(bw - p1, axis=1)
-    )
+    fwd = p1.xyw @ h.T
+    bwd = p2.xyw @ np.linalg.inv(h).T
+    # rows mapped to infinity divide by (near) zero; they are set to inf last
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _transfer_distance(fwd, p2)
+        out += _transfer_distance(bwd, p1)
+    out *= 0.5
+    out[~((np.abs(fwd[:, 2]) > 1e-14) & (np.abs(bwd[:, 2]) > 1e-14))] = np.inf
     return out
+
+
+def _transfer_distance(mapped: np.ndarray, p: Points) -> np.ndarray:
+    """Distance from each row of ``mapped``, dehomogenized, to ``p``'s point."""
+    w = mapped[:, 2]
+    dx = mapped[:, 0] / w
+    dx -= p.x if p.w is None else p.x / p.w
+    dy = mapped[:, 1] / w
+    dy -= p.y if p.w is None else p.y / p.w
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)

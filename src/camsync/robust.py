@@ -27,8 +27,8 @@ from .geometry import (
     HOMOGRAPHY,
     MAX_FRAME,
     Trajectory,
-    sampson_distances,
-    transfer_distances,
+    sampson,
+    symmetric_transfer,
 )
 from .solvers import (
     CorrSet,
@@ -255,11 +255,11 @@ def score_candidate(
     kind: str, cand: SolverCandidate, corr: CorrSet, threshold: float
 ) -> tuple[np.ndarray, float]:
     """Inlier mask and summed inlier residual of one hypothesis over all rows."""
-    pred = corr.u + cand.beta * corr.v
+    s1, pred = corr.points_at(cand.beta)
     if solver_kind(kind).geometry == FUNDAMENTAL:
-        res = sampson_distances(cand.model.m, corr.s1, pred)
+        res = sampson(cand.model.m, s1, pred)
     else:
-        res = transfer_distances(cand.model.m, corr.s1, pred)
+        res = symmetric_transfer(cand.model.m, s1, pred)
     mask = res <= threshold
     return mask, float(res[mask].sum())
 

@@ -45,7 +45,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dggev, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, Points, TwoViewModel
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
@@ -87,6 +87,36 @@ class CorrSet:
 
     def take(self, idx) -> "CorrSet":
         return CorrSet(self.s1[idx], self.u[idx], self.v[idx])
+
+    def points_at(self, beta: float) -> tuple[Points, Points]:
+        """The camera-1 points and the prediction ``u + beta * v``, with the
+        bits of that expression, as the residual kernels read them.
+
+        The columns of s1, u and v are copied out on the first call and kept
+        with the set, whose arrays must not change after it. When every row
+        of u ends in 1 and of v in 0, a finite ``beta``'s prediction is
+        written into one (n, 3) buffer kept with them, whose third column
+        stays 1: the points one call returns then hold only until the next.
+        """
+        s1, u, v, pred = self._columns
+        if pred is None or not math.isfinite(beta):
+            return s1, Points.of(self.u + beta * self.v)
+        for col, u_col, v_col in ((pred.x, u[0], v[0]), (pred.y, u[1], v[1])):
+            np.multiply(v_col, beta, out=col)
+            col += u_col
+        return s1, pred
+
+    @functools.cached_property
+    def _columns(self) -> tuple[Points, np.ndarray, np.ndarray, Points | None]:
+        """s1 as points, u's and v's columns as rows, and the prediction
+        buffer's points, or None when a prediction's w is not always 1."""
+        u = np.ascontiguousarray(self.u.T)
+        v = np.ascontiguousarray(self.v.T)
+        pred = None
+        if (u[2] == 1).all() and (v[2] == 0).all():
+            buf = np.ones((len(self), 3), order="F")
+            pred = Points(buf, buf[:, 0], buf[:, 1], None)
+        return Points.of(self.s1), u, v, pred
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +194,8 @@ def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _split_real(values, vectors=None, window=None):
-    """Filter near-real finite eigenvalues; returns (beta, vec) pairs.
+    """Filter near-real finite eigenvalues; yields (beta, vec) pairs, so a
+    caller that only asks whether there is one stops at the first.
 
     With ``window = (lo, hi)`` only values whose real part lies in it, both
     ends inclusive, are considered.
@@ -176,7 +207,6 @@ def _split_real(values, vectors=None, window=None):
     ``np.linalg.norm`` would take, so the bits are those of the numpy forms.
     """
     lo, hi = (-math.inf, math.inf) if window is None else window
-    out = []
     for i, lam in enumerate(np.atleast_1d(values).tolist()):
         beta, leak = lam.real, abs(lam.imag)
         if not (lo <= beta <= hi and math.isfinite(beta) and math.isfinite(leak)):
@@ -202,8 +232,7 @@ def _split_real(values, vectors=None, window=None):
                     continue
             elif vec.dot(vec) == 0:
                 continue
-        out.append((beta, vec))
-    return out
+        yield beta, vec
 
 
 def _to_pixels(geometry: str, t1: np.ndarray, t2: np.ndarray):
@@ -387,12 +416,12 @@ def solve_gep_f_beta(
     values, vectors = _ggev(draw.a, -draw.c)
     if not np.isfinite(values).any():
         raise DegenerateInput("pencil is singular for all beta")
-    real = _split_real(values, vectors, window)
+    real = list(_split_real(values, vectors, window))
     # f6 is a unit eigenvector, so the F built below is nonzero and
     # ``_to_pixels`` rejects it only if the back-substitution overflows, far
     # beyond any window. A draw is therefore valid exactly when some eigenvalue
     # passes _split_real, and those outside the window need no model to decide.
-    if not real and not _split_real(values, vectors):
+    if not real and not any(_split_real(values, vectors)):
         raise NoRealSolution("all generalized eigenvalues complex or infinite")
     # one candidate per call: a one-row matmul runs gemv, a stacked one gemm,
     # and a candidate's bits must not depend on how many the window keeps
@@ -449,9 +478,9 @@ def solve_min_f_beta(
     coeffs = np.polynomial.chebyshev.chebtrim(_NODES_TO_CHEB @ (samples / scale), 1e-13)
     roots = mid + half * np.polynomial.chebyshev.chebroots(coeffs)
 
-    real = _split_real(roots, window=window)
+    real = list(_split_real(roots, window=window))
     if not real:
-        if not _split_real(roots):
+        if not any(_split_real(roots)):
             raise NoRealSolution("no real root of the determinant polynomial")
         return []
     betas = np.array([beta for beta, _ in real])

@@ -19,8 +19,8 @@ import scipy.linalg
 from scipy.linalg.lapack import dggev
 
 from camsync import solvers
-from camsync.errors import DegenerateInput, NoRealSolution
-from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel, transfer_distances
+from camsync.errors import DegenerateInput, NoRealSolution, SingularModel
+from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
 from camsync.robust import solver_kind
 from camsync.solvers import (
     BETA_SPAN,
@@ -46,6 +46,15 @@ def normalized_model(kind: str, m: np.ndarray) -> TwoViewModel:
     if flat[np.argmax(np.abs(flat))] < 0:
         m = -m
     return TwoViewModel(kind=kind, m=m)
+
+
+def model_distance(a: TwoViewModel, b: TwoViewModel) -> float:
+    """Frobenius distance of two models, each sign- and scale-normalized.
+
+    Not a kernel: the tests' measure of how far an estimate lies from the
+    truth.
+    """
+    return float(np.linalg.norm(a.m - b.m))
 
 
 def normalizing_transform(points: np.ndarray) -> np.ndarray:
@@ -358,6 +367,25 @@ def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarr
     ok = g2 > 0
     out[ok] = np.abs(e[ok]) / np.sqrt(g2[ok])
     out[e == 0] = 0.0
+    return out
+
+
+def transfer_distances(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    det = np.linalg.det(h)
+    if abs(det) < 1e-14:
+        raise SingularModel(f"homography is singular (det={det:.3e})")
+    hinv = np.linalg.inv(h)
+    fwd = x1 @ h.T
+    bwd = x2 @ hinv.T
+    out = np.full(x1.shape[0], np.inf)
+    ok = (np.abs(fwd[:, 2]) > 1e-14) & (np.abs(bwd[:, 2]) > 1e-14)
+    fw = fwd[ok, :2] / fwd[ok, 2:3]
+    bw = bwd[ok, :2] / bwd[ok, 2:3]
+    p1 = x1[ok, :2] / x1[ok, 2:3]
+    p2 = x2[ok, :2] / x2[ok, 2:3]
+    out[ok] = 0.5 * (
+        np.linalg.norm(fw - p2, axis=1) + np.linalg.norm(bw - p1, axis=1)
+    )
     return out
 
 

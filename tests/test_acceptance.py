@@ -19,7 +19,6 @@ from camsync import (
     generate_scene,
     inject_outliers,
     iterative_sync,
-    model_distance,
     ransac_estimate,
     relative_pose,
     rotation_error,
@@ -38,6 +37,8 @@ from camsync.robust import (
     build_correspondences,
 )
 from camsync.solvers import CorrSet
+
+from reference_kernels import model_distance
 
 
 _CAPMAN = None

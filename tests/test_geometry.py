@@ -10,21 +10,21 @@ from hypothesis import strategies as st
 from camsync import (
     ImageSample,
     MissingFrame,
+    SingularModel,
     Trajectory,
     TwoViewModel,
     ZeroVector,
     linearize,
-    model_distance,
 )
 from camsync.geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
-    epipolar_constraint,
     sampson_distances,
     transfer_distances,
 )
 
 import reference_kernels as ref
+from reference_kernels import model_distance
 
 
 def line_trajectory(a, w, n=30, camera_id="cam2", track_id="t0"):
@@ -226,50 +226,56 @@ class TestEpipolarResidual:
 
 
 @st.composite
-def epipolar_rows(draw):
-    """F, x1, x2 and the rows made to give g2 = NaN.
+def kernel_rows(draw):
+    """A model matrix, x1, x2 (n, 3) and the kinds of row both kernels treat
+    apart, for 1 to 12,000 rows.
 
-    Rows can be zeroed in one image (a zero residual) or get a NaN
-    coordinate (a NaN gradient); an F with only F33 nonzero gives g2 = 0
-    with a nonzero residual. Coordinates and F span 1e-3 to 1e3 in scale.
+    Third coordinates are 1 or, per image, spread over +-[0.5, 2]. Rows can
+    have x = y = 0 in one image, be scaled by 1e-16 or 0 (|w| <= 1e-14 after
+    the map; a zero row also zeroes the residual) or get a NaN coordinate. A matrix is full, has only m33 nonzero (x
+    = y = 0 then zeroes the epipolar gradient) or only its upper-left 2x2
+    block (x = y = 0 then zeroes the residual). Coordinates and matrices span
+    1e-3 to 1e3 in scale.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.just(1), st.integers(2, 50), st.integers(51, 12_000)))
     x1, x2 = (
         np.column_stack([rng.uniform(-500, 500, (n, 2)) * 10.0 ** draw(st.floats(-3, 3)),
                          np.ones(n)])
         for _ in range(2)
     )
-    f = rng.normal(size=(3, 3)) * 10.0 ** draw(st.floats(-3, 3))
-    if draw(st.booleans()):
-        f[:2] = 0.0
-        f[2, :2] = 0.0
-    kinds = draw(st.lists(st.sampled_from(["plain", "zero1", "zero2", "nan"]),
-                          min_size=n, max_size=n))
-    nan_rows = np.array([k == "nan" for k in kinds])
-    for row, kind in enumerate(kinds):
-        if kind == "zero1":
-            x1[row] = 0.0
-        elif kind == "zero2":
-            x2[row] = 0.0
-        elif kind == "nan":
-            x1[row, int(rng.integers(2))] = np.nan
-    return f, x1, x2, nan_rows
+    for x in (x1, x2):
+        if draw(st.booleans()):
+            x[:, 2] = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    m = rng.normal(size=(3, 3)) * 10.0 ** draw(st.floats(-3, 3))
+    structure = draw(st.sampled_from(["full", "m33", "2x2"]))
+    if structure == "m33":
+        m[:2] = 0.0
+        m[2, :2] = 0.0
+    elif structure == "2x2":
+        m[2] = 0.0
+        m[:, 2] = 0.0
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))) + 1e-9
+    kinds = rng.choice(["plain", "zero1", "zero2", "tiny1", "tiny2", "nan"], n,
+                       p=np.concatenate([[weights.sum()], weights]) / (2 * weights.sum()))
+    x1[kinds == "zero1", :2] = 0.0
+    x2[kinds == "zero2", :2] = 0.0
+    tiny = draw(st.sampled_from([0.0, 1e-16]))
+    x1[kinds == "tiny1"] *= tiny
+    x2[kinds == "tiny2"] *= tiny
+    nan_rows = np.flatnonzero(kinds == "nan")
+    x1[nan_rows, rng.integers(0, 2, len(nan_rows))] = np.nan
+    return m, x1, x2
 
 
 class TestEpipolarReduction:
     @settings(max_examples=300, deadline=None)
-    @given(epipolar_rows())
+    @given(kernel_rows())
     def test_bit_identical_to_einsum(self, case):
-        f, x1, x2, nan_rows = case
-        want_e = np.einsum("ij,jk,ik->i", x2, f, x1)
-        e = epipolar_constraint(x2, f, x1)
-        assert np.array_equal(e, want_e, equal_nan=True)
-        nonzero = want_e != 0
-        assert e[nonzero].tobytes() == want_e[nonzero].tobytes()
+        f, x1, x2 = case
         got = sampson_distances(f, x1, x2)
         assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
-        assert np.all(got[nan_rows] == np.inf)
+        assert np.all(got[np.isnan(x1).any(axis=1)] == np.inf)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_and_two_rows_bit_identical(self, n):
@@ -310,6 +316,22 @@ class TestHomographyResidual:
         a = self.transfer(h, (1, 2), (3, 4))
         b = self.transfer(-7.0 * h, (1, 2), (3, 4))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_bit_identical_to_plain_form(self, case):
+        h, x1, x2 = case
+        try:
+            want = ref.transfer_distances(h, x1, x2)
+        except SingularModel:
+            with pytest.raises(SingularModel):
+                transfer_distances(h, x1, x2)
+            return
+        got = transfer_distances(h, x1, x2)
+        assert got.tobytes() == want.tobytes()
+        at_infinity = ((np.abs(x1 @ h.T)[:, 2] <= 1e-14)
+                       | (np.abs(x2 @ np.linalg.inv(h).T)[:, 2] <= 1e-14))
+        assert np.all(got[at_infinity] == np.inf)
 
 
 class TestTwoViewModel:

@@ -13,10 +13,10 @@ from camsync import (
     RansacParams,
     SceneSpec,
     Trajectory,
+    TwoViewModel,
     generate_scene,
     inject_outliers,
     linearize,
-    model_distance,
     ransac_estimate,
 )
 from camsync.robust import (
@@ -31,11 +31,12 @@ from camsync.robust import (
     score_candidate,
 )
 from camsync import robust
-from camsync.solvers import SolverCandidate, _skew_rows, prepare_f_draws
+from camsync.solvers import CorrSet, SolverCandidate, _skew_rows, prepare_f_draws
 from camsync.sync import IterParams, iterative_sync
 from camsync.synth import PLANAR_SMOOTH
 
 import reference_kernels
+from reference_kernels import model_distance
 
 
 def exact_scene(seed=0, beta_gt=2.0, n_tracks=4, exact_model="F"):
@@ -224,6 +225,42 @@ class TestScoreCandidate:
         mask_g, _ = score_candidate(KIND_F_GEP, good, corr, 1.0)
         mask_b, _ = score_candidate(KIND_F_GEP, bad, corr, 1.0)
         assert mask_b.sum() < mask_g.sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.just(1), st.integers(2, 3000)),
+        kind=st.sampled_from([KIND_F_GEP, KIND_H_MIN]),
+        homogeneous=st.sampled_from(["unit", "u", "v", "s1"]),
+        betas=st.lists(st.one_of(st.floats(-50, 50), st.sampled_from([np.inf, -np.inf, np.nan])),
+                       min_size=1, max_size=6),
+    )
+    def test_bit_identical_to_plain_form_call_after_call(
+        self, seed, n, kind, homogeneous, betas
+    ):
+        # one set scored at several shifts: the prediction buffer it keeps
+        # carries nothing from one call to the next, and a u not ending in 1,
+        # a v not ending in 0 or a non-finite shift gives the plain bits too
+        rng = np.random.default_rng(seed)
+        s1, u = (np.column_stack([rng.uniform(0, 1000, (n, 2)), np.ones(n)]) for _ in range(2))
+        v = np.column_stack([rng.normal(size=(n, 2)) * 4.0, np.zeros(n)])
+        if homogeneous != "unit":
+            {"u": u, "v": v, "s1": s1}[homogeneous][:, 2] += rng.uniform(0.1, 0.5, n)
+        corr = CorrSet(s1, u, v)
+        m = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
+        m[2, :2] *= 1e-3
+        geometry = SOLVER_KINDS[kind].geometry
+        model = TwoViewModel.normalized(geometry, m)
+        for beta in betas:
+            cand = SolverCandidate(beta=beta, model=model)
+            with np.errstate(all="ignore"):  # both warn on a shift of NaN or inf
+                want_mask, want_res = reference_kernels.score_candidate(kind, cand, corr, 20.0)
+                got_mask, got_res = score_candidate(kind, cand, corr, 20.0)
+                want_pred = corr.u + beta * corr.v
+                got_pred = corr.points_at(beta)[1].xyw
+            assert got_pred.tobytes() == want_pred.tobytes()
+            assert got_mask.tobytes() == want_mask.tobytes()
+            assert np.float64(got_res).tobytes() == np.float64(want_res).tobytes()
 
 
 class TestRansacParams:

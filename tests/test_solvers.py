@@ -17,7 +17,6 @@ from camsync import (
     Trajectory,
     TwoViewModel,
     generate_scene,
-    model_distance,
     solve_4pt_h,
     solve_7pt_f,
     solve_gep_f_beta,
@@ -38,6 +37,7 @@ from camsync.solvers import (
 )
 
 import reference_kernels as ref
+from reference_kernels import model_distance
 
 
 def exact_corr(seed, beta_gt, d, n_pick, n_tracks=3, exact_model="F"):

@@ -13,6 +13,10 @@ The output JSON holds, per workload and end-to-end metric, each side's
 values, median and quartiles, and in how many pairs the head's value was
 better; each run's ``correct``, ``attempted`` and ``failed``; the traced
 metrics; and a description of the machine. Progress goes to stderr.
+
+A run that exits non-zero, reads ``correct: false`` or has ``failed`` > 0
+stops the comparison: the script names the run on stderr, writes no JSON and
+exits 1.
 """
 
 from __future__ import annotations
@@ -59,16 +63,30 @@ def export_head(dest: str) -> str:
     return "working tree at " + git("rev-parse", "--short", "HEAD").decode().strip()
 
 
-def run(tree: str, command: list, workload: str, seconds: float, trace: int) -> dict:
-    """One benchmark run in ``tree``; the JSON object of its last stdout line."""
+class RunFailed(Exception):
+    """A benchmark run that exited non-zero, was wrong or had failures."""
+
+
+def run(tree: str, command: list, workload: str, seconds: float, trace: int,
+        label: str) -> dict:
+    """One benchmark run in ``tree``; the JSON object of its last stdout line.
+
+    Raises ``RunFailed``, naming the run by ``label``, if it exits non-zero,
+    reads ``correct: false`` or reports failed operations.
+    """
     argv = [*command, "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+        raise RunFailed(f"{label}: {' '.join(argv)} in {tree} exited "
+                        f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    res = json.loads(lines[-1])
+    if res["correct"] is not True or res["failed"] > 0:
+        raise RunFailed(f"{label}: correct {str(res['correct']).lower()}, "
+                        f"{res['failed']} of {res['attempted']} operations failed\n"
+                        f"{proc.stderr[-2000:]}")
+    return res
 
 
 def summary(values: list[float]) -> dict:
@@ -125,9 +143,10 @@ def main(argv=None) -> int:
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    print(f"{workload} pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
+                    label = f"{workload} pair {i + 1}/{args.pairs}: {side}"
+                    print(label, file=sys.stderr)
                     runs[side].append(run(trees[side], bench["command"], workload,
-                                          seconds, 0))
+                                          seconds, 0, label))
             metrics = {}
             for spec in bench["end_to_end"]:
                 name = spec["name"]
@@ -142,8 +161,9 @@ def main(argv=None) -> int:
                 }
             traced = {}
             for side in SIDES:
-                print(f"{workload} traced: {side}", file=sys.stderr)
-                res = run(trees[side], bench["command"], workload, seconds, 1)
+                label = f"{workload} traced: {side}"
+                print(label, file=sys.stderr)
+                res = run(trees[side], bench["command"], workload, seconds, 1, label)
                 traced[side] = {
                     "correct": res["correct"], "failed": res["failed"],
                     "metrics": {k: v["value"] for k, v in res["metrics"].items()},
@@ -157,6 +177,9 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=1)
             fh.write("\n")
+    except RunFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
