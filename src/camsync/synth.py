@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .errors import UnreachableSpeed
 from .geometry import HOMOGRAPHY, Trajectory, TwoViewModel
@@ -36,6 +36,10 @@ _CAMERA_RADIUS = 10.0
 _MIN_ANGLE_DEG = 12.0  # smallest turn between the two cameras, for triangulation
 _IMAGE_SIZE = (1000, 1000)  # width, height in pixels
 _PROBE_PAIRS = 24  # most pairs GroundTruth.probe_pairs returns
+# Scene size caps, checked by SceneSpec before anything is allocated:
+_MAX_FRAMES = 200_000  # frames per camera, and camera-1 frames a spline path spans
+_MAX_WAYPOINTS = 100_000  # waypoints of one spline path
+_MAX_SAMPLES = 2_000_000  # image samples over all tracks of both cameras
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,28 @@ class SceneSpec:
             raise ValueError(f"unknown motion {self.motion!r}")
         if self.exact_model not in ("F", "H"):
             raise ValueError("exact_model must be 'F' or 'H'")
+        # bounds on what generate_scene allocates, in float arithmetic (inf
+        # past the double range); float() of a huge n_frames would overflow,
+        # so it is bounded as an integer first
+        if self.n_frames > _MAX_FRAMES:
+            raise ValueError(f"n_frames must be <= {_MAX_FRAMES}")
+        if self.motion == EXACT_LINEAR:
+            n2 = self.rho * (self.n_frames - 1) + max(self.beta_gt, 0.0) + 41.0
+            sizes = [("camera-2 frame count", n2, _MAX_FRAMES)]
+        else:
+            t_lo, t_hi = _path_window(self)
+            n2 = max(self.rho * (t_hi - 1.0) + self.beta_gt, 1.0)
+            sizes = [
+                ("camera-2 frame count", n2, _MAX_FRAMES),
+                ("spline path span", t_hi - t_lo, _MAX_FRAMES),
+                ("waypoint count", (t_hi - t_lo) / self.waypoint_spacing + 2.0, _MAX_WAYPOINTS),
+            ]
+        for name, size, cap in sizes:
+            if not size <= cap:
+                raise ValueError(f"{name} {size:.4g} exceeds {cap}")
+        samples = self.n_tracks * (self.n_frames + math.ceil(n2))
+        if samples > _MAX_SAMPLES:
+            raise ValueError(f"sample count {samples} exceeds {_MAX_SAMPLES}")
 
 
 @dataclass
@@ -137,20 +163,77 @@ def _project(cam: CameraCalib, points: np.ndarray) -> np.ndarray:
     return x[:, :2] / x[:, 2:3]
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (4, n - 1, 3), of the not-a-knot cubic spline
+    through the (n, 3) points ``y`` at the n >= 4 distinct increasing ``x``.
+
+    Bit-identical to the coefficients of scipy's not-a-knot cubic spline
+    interpolator: its banded system for the knot slopes, the LAPACK dgtsv
+    that ``solve_banded`` calls for (1, 1) bands, and ``CubicHermiteSpline``'s
+    coefficient formula, in the same order of operations."""
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    a = np.zeros((3, len(x)))  # upper, main and lower diagonal, banded
+    a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    a[0, 2:] = dx[:-1]
+    a[-1, :-2] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    a[1, 0] = dx[1]
+    a[0, 1] = d = x[2] - x[0]
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    a[1, -1] = dx[-2]
+    a[-1, -2] = d = x[-1] - x[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    _, _, _, s, info = dgtsv(a[2, :-1], a[1], a[0, 1:], b, 1, 1, 1, 1)
+    if info:
+        raise np.linalg.LinAlgError("singular spline system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _piecewise_cubic(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (m, 3) values at times ``t`` of the piecewise cubic with knots
+    ``x`` and coefficients ``c`` from `_not_a_knot`, extrapolating past the
+    ends; bit-identical to scipy's ``PPoly``, which finds the interval as here
+    and adds the terms from the constant one up."""
+    # the interior knots at or before t: searchsorted(x, t, "right") - 1
+    # clipped to [0, n - 2], as PPoly finds it
+    i = np.searchsorted(x[1:-1], t, side="right")
+    s = (t - x[i])[:, None]
+    ss = s * s
+    k = c[:, i]
+    return (0.0 + k[3]) + k[2] * s + k[1] * ss + k[0] * (ss * s)
+
+
+def _path_window(spec: SceneSpec) -> tuple[float, float]:
+    """First and last camera-1 time of a spline path: the camera-1 frames,
+    padded so that camera 2's shifted frames stay inside the path."""
+    pad = 40.0 + abs(spec.beta_gt) / spec.rho
+    return -pad, (spec.n_frames - 1) + pad
+
+
+def _knots(spec: SceneSpec) -> np.ndarray:
+    """Waypoint times of a spline path: at least 4, at most
+    ``waypoint_spacing`` frames apart, over `_path_window`. SceneSpec's size
+    caps keep them finite and distinct, as `_not_a_knot` needs."""
+    t_lo, t_hi = _path_window(spec)
+    return np.linspace(t_lo, t_hi, max(4, int((t_hi - t_lo) / spec.waypoint_spacing) + 2))
+
+
 def _spline_path(
     rng: np.random.Generator,
-    t_lo: float,
-    t_hi: float,
+    times: np.ndarray,
     cam1: CameraCalib,
     frames1: np.ndarray,
     target_speed: float,
     in_plane: tuple[np.ndarray, np.ndarray] | None,
-    waypoint_spacing: float,
-) -> CubicSpline:
-    """Waypoint spline with image speed calibrated against camera 1; with
+) -> np.ndarray:
+    """`_not_a_knot` coefficients of a spline through random waypoints at
+    ``times``, with image speed calibrated against camera 1; with
     ``in_plane`` (two orthonormal directions) the waypoints span that plane."""
-    n_way = max(4, int((t_hi - t_lo) / waypoint_spacing) + 2)
-    times = np.linspace(t_lo, t_hi, n_way)
+    n_way = len(times)
     # waypoints must stay well inside the camera sphere; past it the
     # projected speed stops growing with world amplitude
     max_amp = 0.6 * _CAMERA_RADIUS
@@ -163,9 +246,9 @@ def _spline_path(
             ab = rng.uniform(-1.0, 1.0, size=(n_way, 2)) * _SCENE_EXTENT[:2]
             offs = ab[:, :1] * e1 + ab[:, 1:] * e2
         pos = _SCENE_CENTER + offs
-        spline = CubicSpline(times, pos, axis=0)
+        coef = _not_a_knot(times, pos)
         for _ in range(12):
-            pix = _project(cam1, spline(frames1))
+            pix = _project(cam1, _piecewise_cubic(times, coef, frames1))
             steps = np.linalg.norm(np.diff(pix, axis=0), axis=1)
             mean_step = steps.mean()
             if mean_step < 1e-9:
@@ -174,11 +257,11 @@ def _spline_path(
             amp = np.abs(pos - _SCENE_CENTER).max()
             factor = min(factor, max_amp / amp) if amp > 0 else factor
             pos = _SCENE_CENTER + (pos - _SCENE_CENTER) * factor
-            spline = CubicSpline(times, pos, axis=0)
-        pix = _project(cam1, spline(frames1))
+            coef = _not_a_knot(times, pos)
+        pix = _project(cam1, _piecewise_cubic(times, coef, frames1))
         last_speed = np.linalg.norm(np.diff(pix, axis=0), axis=1).mean()
         if 0.5 * target_speed <= last_speed <= 2.0 * target_speed:
-            return spline
+            return coef
     raise UnreachableSpeed(
         f"calibrated speed {last_speed:.2f} px/frame, wanted {target_speed}"
     )
@@ -204,20 +287,19 @@ def _smooth_family(spec: SceneSpec, gt: GroundTruth, in_plane):
     """Frames and track maker of the spline families (planar with `in_plane`)."""
     cam1, cam2 = gt.cameras
     beta, rho = spec.beta_gt, spec.rho
-    pad = 40.0 + abs(beta) / rho
-    t_lo, t_hi = -pad, (spec.n_frames - 1) + pad
+    t_lo, t_hi = _path_window(spec)
+    times = _knots(spec)
     frames1 = np.arange(spec.n_frames, dtype=float)
     j_max = int(math.floor(rho * (t_hi - 1.0) + beta))
     frames2 = np.arange(0, max(j_max, 1), dtype=float)
     frames2 = frames2[(frames2 - beta) / rho > t_lo + 1.0]
 
     def track(rng: np.random.Generator):
-        spline = _spline_path(rng, t_lo, t_hi, cam1, frames1, spec.speed_px_per_frame,
-                              in_plane, spec.waypoint_spacing)
-        pix1 = _project(cam1, spline(frames1))
-        pix2 = _project(cam2, spline((frames2 - beta) / rho))
-        sync2 = _project(cam2, spline(frames1))  # camera-2 view at camera-1 instants
-        return pix1, pix2, sync2
+        coef = _spline_path(rng, times, cam1, frames1, spec.speed_px_per_frame, in_plane)
+        path1 = _piecewise_cubic(times, coef, frames1)
+        pix2 = _project(cam2, _piecewise_cubic(times, coef, (frames2 - beta) / rho))
+        sync2 = _project(cam2, path1)  # camera-2 view at camera-1 instants
+        return _project(cam1, path1), pix2, sync2
 
     return frames1, frames2, track
 

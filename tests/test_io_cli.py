@@ -231,6 +231,26 @@ class TestCliSynth:
         assert capsys.readouterr().err == "error: seed must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--beta", "1e15"], "camera-2 frame count"),
+        (["--beta", "1e15", "--motion", "exact-linear"], "camera-2 frame count"),
+        (["--beta", "1e308"], "camera-2 frame count"),
+        (["--beta=-1e308"], "spline path span"),
+        (["--beta", "1", "--rho", "1e-12"], "spline path span"),
+        (["--frames", str(10**12)], "n_frames must be <= "),
+        (["--tracks", str(10**9)], "sample count"),
+        (["--spacing", "1e-300"], "waypoint count"),
+    ])
+    def test_oversized_scene_is_input_error_and_writes_nothing(
+        self, tmp_path, capsys, options, message
+    ):
+        # SceneSpec rejects these before generate_scene allocates anything
+        out, gt_out = tmp_path / "x.csv", tmp_path / "gt.json"
+        rc = main(["synth", *options, "--out", str(out), "--gt-out", str(gt_out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists() and not gt_out.exists()
+
 
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(camsync.__file__))
@@ -537,6 +557,7 @@ class TestCliSweep:
             ("noise", [0.0, -1.0], "noise_sigma must be >= 0"),
             ("ds", [1, 2**63], "'ds': |d| must be <= 2**63 - 1"),
             ("betas", [0.0, 10**400], "int too large to convert to float"),
+            ("betas", [0.0, 1e15], "camera-2 frame count 1e+15 exceeds 200000"),
         ],
     )
     def test_bad_setting_is_reported_before_any_scene(

@@ -1,12 +1,19 @@
 """Synthetic scene generator: geometric consistency, calibration, determinism."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from camsync import (
     SceneSpec,
     generate_scene,
     inject_outliers,
+    synth,
 )
 from camsync.geometry import sampson_distances
 
@@ -45,6 +52,97 @@ class TestSceneSpec:
             SceneSpec(waypoint_spacing=float("nan"))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SceneSpec(seed=-1)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(beta_gt=1e15), "camera-2 frame count 2e+15 exceeds 200000"),
+        (dict(beta_gt=1e15, motion="exact-linear"), "camera-2 frame count 1e+15 exceeds"),
+        (dict(beta_gt=1e308), "camera-2 frame count inf exceeds"),
+        (dict(beta_gt=-1e308), "spline path span inf exceeds 200000"),
+        (dict(beta_gt=1.0, rho=1e-12), "spline path span 2e+12 exceeds"),
+        (dict(rho=1e12), "camera-2 frame count 1.38e+14 exceeds"),
+        (dict(rho=1e12, motion="exact-linear"), "camera-2 frame count 9.9e+13 exceeds"),
+        (dict(waypoint_spacing=1e-300), "waypoint count 1.79e+302 exceeds 100000"),
+        (dict(waypoint_spacing=1e-3), "waypoint count 1.79e+05 exceeds"),
+        (dict(n_frames=10**12), "n_frames must be <= 200000"),
+        (dict(n_frames=10**400), "n_frames must be <= 200000"),
+        (dict(n_tracks=10**400), "sample count 238000"),
+        (dict(n_frames=199_000, n_tracks=6), "sample count 2388228 exceeds 2000000"),
+    ])
+    def test_oversized_scene_rejected_before_allocation(self, fields, message):
+        # only the spec is built, never the scene: most of these would not fit in memory
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            SceneSpec(**fields)
+
+    def test_scene_at_the_caps_accepted(self):
+        SceneSpec(n_frames=199_000, n_tracks=5)  # 1,990,190 samples
+        SceneSpec(n_frames=10, n_tracks=30_000)
+        SceneSpec(waypoint_spacing=1.8e-3)  # 99,446 waypoints
+        SceneSpec(beta_gt=-9e4, waypoint_spacing=float("inf"))
+
+    @given(
+        beta=st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False)),
+        rho=st.one_of(st.floats(0.1, 10.0), st.floats(1e-300, 1e300)),
+        spacing=st.one_of(st.floats(1.0, 500.0), st.just(math.inf), st.floats(1e-300, 1e300)),
+        n_frames=st.one_of(st.integers(10, 1000), st.integers(10, 10**13)),
+        motion=st.sampled_from(["smooth-random", "planar-smooth"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_spec_has_distinct_finite_knots(self, beta, rho, spacing, n_frames,
+                                                     motion):
+        # the spline builder has no input checks of its own: it relies on these
+        try:
+            spec = SceneSpec(beta_gt=beta, rho=rho, waypoint_spacing=spacing,
+                             n_frames=n_frames, motion=motion)
+        except ValueError:
+            return
+        knots = synth._knots(spec)
+        assert 4 <= len(knots) <= synth._MAX_WAYPOINTS
+        assert np.isfinite(knots).all()
+        assert (np.diff(knots) > 0).all()
+        assert knots[0] <= -40.0 and knots[-1] >= n_frames + 39.0
+
+
+def _bits(a):
+    """An array's bytes and shape: equal bits, including the sign of zero."""
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+class TestNotAKnotSpline:
+    """The spline builder and evaluator give scipy's CubicSpline bytes."""
+
+    @given(
+        n=st.integers(4, 40),
+        uneven=st.booleans(),
+        offset=st.floats(-1e4, 1e4),
+        span=st.floats(1.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 3.0, 1e3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_cubic_spline(self, n, uneven, offset, span, seed, scale):
+        rng = np.random.default_rng(seed)
+        if uneven:
+            x = offset + np.cumsum(np.concatenate([[0.0], rng.uniform(0.01, 1.0, n - 1)]))
+            x = offset + (x - offset) * (span / (x[-1] - offset))
+        else:
+            x = np.linspace(offset, offset + span, n)  # as synth._knots spaces them
+        assert (np.diff(x) > 0).all()
+        y = 10.0 + rng.normal(0.0, scale, size=(n, 3))
+        reference = CubicSpline(x, y, axis=0)
+        coef = synth._not_a_knot(x, y)
+        assert _bits(coef) == _bits(reference.c)
+        inside = rng.uniform(x[0], x[-1], 25)
+        step = 1e-3 * span
+        t = np.concatenate([
+            x,  # at the knots, both ends included
+            (x[:-1] + x[1:]) / 2,  # between them
+            inside,
+            [x[0] - step, x[0] - 10 * step, x[-1] + step, x[-1] + 10 * step],  # outside
+            np.nextafter(x[[0, -1]], [-np.inf, np.inf]),  # just outside
+            np.nextafter(x[1:-1], -np.inf),  # just before the interior knots
+        ])
+        assert _bits(synth._piecewise_cubic(x, coef, t)) == _bits(reference(t))
 
 
 class TestSmoothScenes:
