@@ -424,7 +424,10 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse prints a usage error and exits 2, --help 0
+        return EXIT_INPUT if exc.code else EXIT_OK
     command = {"sync": _cmd_sync, "synth": _cmd_synth, "sweep": _cmd_sweep}
     try:
         return command[args.command](args)

@@ -201,18 +201,6 @@ class Points(NamedTuple):
         return cls(xyw, x, y, None if (w == 1).all() else w)
 
 
-def sampson_distances(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """First-order Sampson distance of x2^T F x1 = 0 for (n, 3) homogeneous
-    rows x1, x2; see ``sampson``."""
-    return sampson(f, Points.of(x1), Points.of(x2))
-
-
-def transfer_distances(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Symmetric transfer error of x2 ~ H x1 for (n, 3) homogeneous rows x1,
-    x2; see ``symmetric_transfer``."""
-    return symmetric_transfer(h, Points.of(x1), Points.of(x2))
-
-
 def sampson(f: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
     """First-order Sampson distance of x2^T F x1 = 0, vectorized over rows.
 

@@ -27,10 +27,6 @@ class CameraCalib:
             raise ValueError("K must be invertible")
 
     @property
-    def P(self) -> np.ndarray:
-        return self.K @ np.hstack([self.R, self.t.reshape(3, 1)])
-
-    @property
     def center(self) -> np.ndarray:
         return -self.R.T @ self.t
 

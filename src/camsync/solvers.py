@@ -123,22 +123,12 @@ class CorrSet:
 # conditioning
 
 
-def normalizing_transform(points: np.ndarray) -> np.ndarray:
-    """Isotropic transform moving the centroid to the origin, mean norm sqrt(2).
-
-    ``points`` is (..., n, 2) and the result (..., 3, 3): one transform per
-    point set. Coincident points raise ``DegenerateInput``.
-    """
-    t, coincident = _normalizing_transforms(points)
-    if coincident is not None:
-        raise DegenerateInput("coincident points, cannot normalize")
-    return t
-
-
 def _normalizing_transforms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``normalizing_transform`` and ``coincident``: None, or True for each
-    point set whose mean distance to its centroid is below 1e-12. Such a set
-    gets a finite transform, as if that distance were 1.
+    """Isotropic transforms moving the centroid to the origin, mean norm
+    sqrt(2): ``points`` is (..., n, 2) and the transforms (..., 3, 3), one per
+    point set. Also ``coincident``: None, or True for each point set whose
+    mean distance to its centroid is below 1e-12. Such a set gets a finite
+    transform, as if that distance were 1.
 
     The reductions are the ones ``points.mean(axis=0)`` and
     ``np.linalg.norm(points - c, axis=1).mean()`` run on each set, called
@@ -162,7 +152,9 @@ def _normalizing_transforms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray 
 
 
 def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
-    t1, t2 = normalizing_transform(np.stack([corr.s1[:, :2], corr.u[:, :2]]))
+    (t1, t2), coincident = _normalizing_transforms(np.stack([corr.s1[:, :2], corr.u[:, :2]]))
+    if coincident is not None:
+        raise DegenerateInput("coincident points, cannot normalize")
     return (
         CorrSet(corr.s1 @ t1.T, corr.u @ t2.T, corr.v @ t2.T),
         t1,
@@ -258,12 +250,6 @@ def _candidates(to_pixels, found) -> list[SolverCandidate]:
 
 # ---------------------------------------------------------------------------
 # generalized eigenvalue solver, 9 correspondences
-
-
-def build_f_pencil(corr: CorrSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient matrices of (M1 + beta M2) f = 0 with f = vec(F) row-major,
-    stacked like ``corr``'s (..., n, 3) arrays."""
-    return _kron_rows(corr.u, corr.s1), _kron_rows(corr.v, corr.s1)
 
 
 # the Euclidean norm scipy.linalg.eig normalizes eigenvectors with
@@ -365,7 +351,8 @@ def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Prepar
     t1, t2 = t[:, 0], t[:, 1]
     fine = [True] * len(s1) if coincident is None else (~coincident.any(axis=1)).tolist()
     t1t, t2t = np.swapaxes(t1, -1, -2), np.swapaxes(t2, -1, -2)
-    m1, m2 = build_f_pencil(CorrSet(s1 @ t1t, u @ t2t, v @ t2t))
+    ns1 = s1 @ t1t
+    m1, m2 = _kron_rows(u @ t2t, ns1), _kron_rows(v @ t2t, ns1)
     q, r = np.linalg.qr(m1[..., 6:9], mode="complete")
     qt = np.swapaxes(q, -1, -2)
     a, c = qt @ m1[..., :6], qt @ m2[..., :6]

@@ -85,7 +85,7 @@ class SceneSpec:
             sizes = [("camera-2 frame count", n2, _MAX_FRAMES)]
         else:
             t_lo, t_hi = _path_window(self)
-            n2 = max(self.rho * (t_hi - 1.0) + self.beta_gt, 1.0)
+            n2 = _camera2_frames(self)
             sizes = [
                 ("camera-2 frame count", n2, _MAX_FRAMES),
                 ("spline path span", t_hi - t_lo, _MAX_FRAMES),
@@ -97,6 +97,8 @@ class SceneSpec:
         samples = self.n_tracks * (self.n_frames + math.ceil(n2))
         if samples > _MAX_SAMPLES:
             raise ValueError(f"sample count {samples} exceeds {_MAX_SAMPLES}")
+        if n2 < 10:  # the n_frames floor; fewer leave a track too short to sync
+            raise ValueError(f"camera-2 frame count {n2:.4g} is below 10")
 
 
 @dataclass
@@ -214,6 +216,12 @@ def _path_window(spec: SceneSpec) -> tuple[float, float]:
     return -pad, (spec.n_frames - 1) + pad
 
 
+def _camera2_frames(spec: SceneSpec) -> float:
+    """Camera-2 frame count of a spline scene: frames 0, 1, ... before
+    rho (t_hi - 1) + beta, at least one; inf past the double range."""
+    return max(float(np.floor(spec.rho * (_path_window(spec)[1] - 1.0) + spec.beta_gt)), 1.0)
+
+
 def _knots(spec: SceneSpec) -> np.ndarray:
     """Waypoint times of a spline path: at least 4, at most
     ``waypoint_spacing`` frames apart, over `_path_window`. SceneSpec's size
@@ -287,12 +295,9 @@ def _smooth_family(spec: SceneSpec, gt: GroundTruth, in_plane):
     """Frames and track maker of the spline families (planar with `in_plane`)."""
     cam1, cam2 = gt.cameras
     beta, rho = spec.beta_gt, spec.rho
-    t_lo, t_hi = _path_window(spec)
     times = _knots(spec)
     frames1 = np.arange(spec.n_frames, dtype=float)
-    j_max = int(math.floor(rho * (t_hi - 1.0) + beta))
-    frames2 = np.arange(0, max(j_max, 1), dtype=float)
-    frames2 = frames2[(frames2 - beta) / rho > t_lo + 1.0]
+    frames2 = np.arange(_camera2_frames(spec))
 
     def track(rng: np.random.Generator):
         coef = _spline_path(rng, times, cam1, frames1, spec.speed_px_per_frame, in_plane)

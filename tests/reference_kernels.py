@@ -31,7 +31,6 @@ from camsync.solvers import (
     _ggev_lwork,
     _kron_rows,
     _skew_rows,
-    build_f_pencil,
 )
 
 
@@ -74,6 +73,11 @@ def normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
         t1,
         t2,
     )
+
+
+def build_f_pencil(corr: CorrSet) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient matrices of (M1 + beta M2) f = 0 with f = vec(F) row-major."""
+    return _kron_rows(corr.u, corr.s1), _kron_rows(corr.v, corr.s1)
 
 
 def split_real(values, vectors=None):

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py stops on a wrong or failing run and writes no JSON."""
+"""tools/bench_pairs.py: the runs it makes, the JSON it writes, and that it
+stops on a wrong or failing run and writes no JSON."""
 
 import importlib.util
 import json
@@ -17,6 +18,7 @@ BENCH = {
     "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
     "workloads": [{"name": "w1"}, {"name": "w2"}],
     "end_to_end": [{"name": "op_s_mean", "unit": "s", "better": "lower", "bound": 0.25}],
+    "per_layer": [{"name": "robust.draws", "unit": "count", "better": "lower"}],
 }
 
 
@@ -36,7 +38,8 @@ def fake_trees(monkeypatch, bad=None, result=None):
                argv[argv.index("--trace") + 1])
         made.append(key)
         res = {"correct": True, "attempted": 3, "failed": 0,
-               "metrics": {"op_s_mean": {"value": 0.1}}}
+               "metrics": {"op_s_mean": {"value": 0.1},
+                           "robust.draws": {"value": float(len(made))}}}
         if key == bad:
             res.update(result)
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(res) + "\n",
@@ -53,15 +56,26 @@ def test_good_runs_write_the_json(monkeypatch, tmp_path):
     made = fake_trees(monkeypatch)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--base", "HEAD", "--pairs", "2", "--out", str(out)]) == 0
-    assert len(made) == 2 * (2 * 2 + 2)
+    # per workload: 2 pairs, then 3 traced runs per side, alternating
+    assert made[:10] == [("w1", side, trace) for trace, sides in (
+        ("0", "base head head base"), ("1", "base head head base base head"))
+        for side in sides.split()]
+    assert len(made) == 2 * 10
     report = json.loads(out.read_text())
-    assert report["workloads"]["w2"]["end_to_end"]["op_s_mean"]["head"]["median"] == 0.1
+    assert report["traced_runs"] == bench_pairs.TRACED_RUNS == 3
+    w2 = report["workloads"]["w2"]
+    assert w2["end_to_end"]["op_s_mean"]["head"]["median"] == 0.1
+    assert w2["traced"]["runs"]["base"] == [{"correct": True, "attempted": 3, "failed": 0}] * 3
+    # robust.draws counts the runs made before it: w2's traced base runs are 15, 18 and 19
+    assert w2["traced"]["per_layer"]["robust.draws"]["base"] == {
+        "median": 18.0, "q1": 16.5, "q3": 18.5, "values": [15.0, 18.0, 19.0]}
 
 
 @pytest.mark.parametrize("bad, result, label", [
     (("w1", "head", "0"), {"correct": False}, "w1 pair 1/2: head: correct false"),
     (("w2", "base", "0"), {"failed": 1}, "w2 pair 1/2: base: correct true, 1 of 3"),
-    (("w2", "head", "1"), {"correct": False, "failed": 2}, "w2 traced: head: correct false, 2 of 3"),
+    (("w2", "head", "1"), {"correct": False, "failed": 2},
+     "w2 traced 1/3: head: correct false, 2 of 3"),
 ])
 def test_wrong_or_failing_run_stops_with_exit_1(monkeypatch, tmp_path, capsys, bad, result, label):
     made = fake_trees(monkeypatch, bad, result)

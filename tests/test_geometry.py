@@ -19,8 +19,9 @@ from camsync import (
 from camsync.geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
-    sampson_distances,
-    transfer_distances,
+    Points,
+    sampson,
+    symmetric_transfer,
 )
 
 import reference_kernels as ref
@@ -171,8 +172,14 @@ def _row(p):
     return np.array([[p[0], p[1], 1.0]])
 
 
+def on_rows(kernel, m, x1, x2):
+    """``kernel`` (``sampson`` or ``symmetric_transfer``) on (n, 3)
+    homogeneous rows x1, x2."""
+    return kernel(m, Points.of(x1), Points.of(x2))
+
+
 def _sampson(f, p1, p2):
-    return sampson_distances(f, _row(p1), _row(p2))[0]
+    return on_rows(sampson, f, _row(p1), _row(p2))[0]
 
 
 class TestEpipolarResidual:
@@ -220,7 +227,7 @@ class TestEpipolarResidual:
         x2 = rng.uniform(0, 100, size=(20, 2))
         x1h = np.column_stack([x1, np.ones(20)])
         x2h = np.column_stack([x2, np.ones(20)])
-        vec = sampson_distances(f, x1h, x2h)
+        vec = on_rows(sampson, f, x1h, x2h)
         for k in range(20):
             assert vec[k] == pytest.approx(_sampson_by_hand(f, x1[k], x2[k]), abs=1e-9)
 
@@ -273,7 +280,7 @@ class TestEpipolarReduction:
     @given(kernel_rows())
     def test_bit_identical_to_einsum(self, case):
         f, x1, x2 = case
-        got = sampson_distances(f, x1, x2)
+        got = on_rows(sampson, f, x1, x2)
         assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
         assert np.all(got[np.isnan(x1).any(axis=1)] == np.inf)
 
@@ -285,14 +292,14 @@ class TestEpipolarReduction:
             f = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
             x1, x2 = (np.column_stack([rng.uniform(-500, 500, (n, 2)), np.ones(n)])
                       for _ in range(2))
-            got = sampson_distances(f, x1, x2)
+            got = on_rows(sampson, f, x1, x2)
             assert got.tobytes() == ref.sampson_distances(f, x1, x2).tobytes()
 
 
 class TestHomographyResidual:
     @staticmethod
     def transfer(h, p1, p2):
-        return transfer_distances(h, _row(p1), _row(p2))[0]
+        return on_rows(symmetric_transfer, h, _row(p1), _row(p2))[0]
 
     def test_identity_zero(self):
         assert self.transfer(np.eye(3), (3.0, 7.0), (3.0, 7.0)) == pytest.approx(
@@ -325,9 +332,9 @@ class TestHomographyResidual:
             want = ref.transfer_distances(h, x1, x2)
         except SingularModel:
             with pytest.raises(SingularModel):
-                transfer_distances(h, x1, x2)
+                on_rows(symmetric_transfer, h, x1, x2)
             return
-        got = transfer_distances(h, x1, x2)
+        got = on_rows(symmetric_transfer, h, x1, x2)
         assert got.tobytes() == want.tobytes()
         at_infinity = ((np.abs(x1 @ h.T)[:, 2] <= 1e-14)
                        | (np.abs(x2 @ np.linalg.inv(h).T)[:, 2] <= 1e-14))

@@ -251,6 +251,39 @@ class TestCliSynth:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists() and not gt_out.exists()
 
+    def test_too_few_camera2_frames_is_input_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--rho", "0.01", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: camera-2 frame count 1 is below 10\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["synth"],
+    ["sync", "x.csv", "--bogus"],
+    ["sync", "x.csv", "--seed", "one"],
+    # argparse reads -1e6 as an option, not a number; --beta=-1e6 is a number
+    ["synth", "--beta", "-1e6", "--out", "x.csv"],
+])
+def test_usage_error_is_input_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: camsync") and "error: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    assert main(["sync", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: camsync sync")
+
+
+def test_negative_scientific_value_attached_with_equals(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--beta=-1.5e1", "--out", str(out)]) == EXIT_OK
+    assert len(read_trajectories(out)) == 2
+
 
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(camsync.__file__))
@@ -573,6 +606,16 @@ class TestCliSweep:
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "rows.csv")])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: sweep config: {message}\n"
+
+    def test_too_few_camera2_frames_is_reported_before_any_scene(self, monkeypatch):
+        def no_scene(spec):
+            raise AssertionError("a scene was generated before the config was checked")
+
+        monkeypatch.setattr(camsync.cli, "generate_scene", no_scene)
+        config = self._config(motion="smooth-random", rho=0.01)
+        with pytest.raises(ValueError,
+                           match="^sweep config: camera-2 frame count 1 is below 10$"):
+            run_sweep(config)
 
     def test_rows_deterministic(self):
         cfg = self._config(betas=[1.0])

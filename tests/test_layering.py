@@ -1,6 +1,8 @@
 """Module layering: no camsync module imports another one's private names,
 none imports a name it never reads, every private top-level name is read by
-some camsync module, and importing camsync leaves out scipy.interpolate."""
+some camsync module, every public top-level function or class is read by one
+or exported by the package, and importing camsync leaves out
+scipy.interpolate."""
 
 import ast
 import os
@@ -49,11 +51,15 @@ def unused_imports(source: str, filename: str) -> list[str]:
     return found
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
+def dead_names(sources: dict[str, str], public: bool = False) -> list[str]:
     """Each underscore-prefixed top-level function, class or constant of the
     modules in ``sources`` (file name to text) that none of them reads, as
     text. A read is a name loaded bare or as an attribute (``module._name``);
-    dunder names are exempt."""
+    dunder names are exempt.
+
+    With ``public``, each top-level function or class without the underscore
+    instead; a name that ``__init__.py`` imports, to export it, counts as read.
+    """
     defined = []
     read = set()
     for filename, source in sources.items():
@@ -61,7 +67,7 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not public:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [
                     n.id for t in targets for n in ast.walk(t)
@@ -71,13 +77,16 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [
                 f"{filename}:{node.lineno}: {name}" for name in names
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                if name.startswith("_") != public
+                and not (name.startswith("__") and name.endswith("__"))
             ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif public and filename == "__init__.py" and isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
     return [line for line in defined if line.rsplit(" ", 1)[1] not in read]
 
 
@@ -151,7 +160,7 @@ def test_every_private_name_is_read_by_some_module():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) >= 10
     sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
-    assert dead_private_names(sources) == []
+    assert dead_names(sources) == []
 
 
 def test_dead_private_name_guard_sees_every_definition():
@@ -182,12 +191,45 @@ def test_dead_private_name_guard_sees_every_definition():
             "print(a._helper(), a._SPAN)\n"
         ),
     }
-    assert dead_private_names(sources) == [
+    assert dead_names(sources) == [
         "a.py:2: _TOL",
         "a.py:3: _B",
         "a.py:11: _unused",
         "a.py:14: _Spare",
     ]
+
+
+def test_every_public_name_is_read_or_exported():
+    # a public function or class that only the tests call belongs in tests/
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    assert dead_names(sources, public=True) == []
+
+
+def test_dead_public_name_guard_sees_every_definition():
+    sources = {
+        "__init__.py": "from .a import Exported, exported\n",
+        "a.py": (
+            "LIMIT = 3\n"
+            "def _private():\n"
+            "    pass\n"
+            "def exported():\n"
+            "    pass\n"
+            "class Exported:\n"
+            "    pass\n"
+            "def unread():\n"
+            "    pass\n"
+            "class Unread:\n"
+            "    def method(self):\n"
+            "        return helper(), self.attr.as_attribute\n"
+            "def helper():\n"
+            "    pass\n"
+            "def as_attribute():\n"
+            "    pass\n"
+        ),
+    }
+    assert dead_names(sources, public=True) == ["a.py:8: unread", "a.py:10: Unread"]
 
 
 def test_import_leaves_out_scipy_interpolate():

@@ -44,10 +44,10 @@ def _camera_pair(rng=None, pure_translation=False):
 def _probes(c1, c2, n=12, seed=0):
     rng = np.random.default_rng(seed)
     pts = np.array([0.0, 0.0, 10.0]) + rng.uniform(-2, 2, size=(n, 3))
+    cams = [c.K @ np.hstack([c.R, c.t.reshape(3, 1)]) for c in (c1, c2)]  # K [R | t]
     out = []
     for x in pts:
-        p1 = c1.P @ np.append(x, 1.0)
-        p2 = c2.P @ np.append(x, 1.0)
+        p1, p2 = (p @ np.append(x, 1.0) for p in cams)
         out.append((p1[:2] / p1[2], p2[:2] / p2[2]))
     return out
 

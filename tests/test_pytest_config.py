@@ -1,5 +1,6 @@
 """The suite's pytest settings."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -26,3 +27,11 @@ def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_blas_runs_one_thread_set_before_numpy_loads(request):
+    # the root conftest.py sets the variables; BLAS reads them when numpy loads
+    conftest = request.config.pluginmanager.get_plugin(str(PYPROJECT.parent / "conftest.py"))
+    assert conftest.NUMPY_LOADED_BEFORE is False
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "1"

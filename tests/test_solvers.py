@@ -30,9 +30,9 @@ from camsync.solvers import (
     CorrSet,
     _ggev,
     _normalize_corr,
+    _normalizing_transforms,
     _split_real,
-    build_f_pencil,
-    normalizing_transform,
+    fit_model_at_beta,
     prepare_f_draws,
 )
 
@@ -133,19 +133,19 @@ class TestGepFBeta:
     def test_second_pencil_matrix_rank_six(self):
         rng = np.random.default_rng(3)
         corr = random_corrset(rng)
-        _, m2 = build_f_pencil(corr)
+        _, m2 = ref.build_f_pencil(corr)
         assert np.linalg.matrix_rank(m2, tol=1e-8) == 6
 
     def test_raw_pencil_has_three_infinite_eigenvalues(self):
         # the uncompressed 9x9 pencil (M1 + beta M2) f = 0
-        m1, m2 = build_f_pencil(random_corrset(np.random.default_rng(4)))
+        m1, m2 = ref.build_f_pencil(random_corrset(np.random.default_rng(4)))
         vals = scipy.linalg.eig(m1, -m2, right=False)
         n_inf = np.sum(~np.isfinite(vals))
         assert n_inf >= 3
 
     def test_compressed_matches_raw_pencil(self):
         sub, _ = exact_corr(seed=5, beta_gt=2.0, d=1, n_pick=9)
-        m1, m2 = build_f_pencil(_normalize_corr(sub)[0])
+        m1, m2 = ref.build_f_pencil(_normalize_corr(sub)[0])
         raw = scipy.linalg.eig(m1, -m2, right=False)
         finite = np.sort(raw[np.isfinite(raw) & (np.abs(raw.imag) < 1e-6)].real)
         cands = solve_gep_f_beta(sub)
@@ -338,7 +338,8 @@ def tall_matrices(seed, rows):
     """The QR's inputs, rows x 3: a sample's third-row columns, and ones with
     two equal columns, a zero column or numerical rank 2."""
     rng = np.random.default_rng(seed)
-    m1, _ = build_f_pencil(_normalize_corr(random_corrset(rng).take(np.arange(rows)))[0])
+    corr = random_corrset(rng).take(np.arange(rows))
+    m1, _ = ref.build_f_pencil(_normalize_corr(corr)[0])
     dup = rng.normal(size=(rows, 3))
     dup[:, 2] = dup[:, 0]
     zero = rng.normal(size=(rows, 3)) * 1e3
@@ -452,15 +453,15 @@ class TestNormalizingTransform:
     def test_bit_identical_to_mean_and_norm(self, seed, n, log_scale, offset):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1, 1, (2, n, 2)) * 10.0**log_scale + offset
-        stacked = normalizing_transform(pts)
+        stacked, _ = _normalizing_transforms(pts)
         for k in range(2):
             want = ref.normalizing_transform(pts[k]).tobytes()
             assert stacked[k].tobytes() == want
-            assert normalizing_transform(pts[k]).tobytes() == want
+            assert _normalizing_transforms(pts[k])[0].tobytes() == want
         # the strided (n, 2) view of homogeneous rows that _normalize_corr takes
         rows = np.column_stack([pts[0], np.ones(n)])
         want = ref.normalizing_transform(rows[:, :2]).tobytes()
-        assert normalizing_transform(rows[:, :2]).tobytes() == want
+        assert _normalizing_transforms(rows[:, :2])[0].tobytes() == want
 
     def test_normalize_corr_bit_identical(self):
         rng = np.random.default_rng(30)
@@ -475,8 +476,14 @@ class TestNormalizingTransform:
     def test_coincident_points_raise(self, which):
         pts = np.random.default_rng(31).uniform(0, 100, (2, 9, 2))
         pts[which] = [3.0, 4.0]
-        with pytest.raises(DegenerateInput):
-            normalizing_transform(pts)
+        assert _normalizing_transforms(pts)[1].tolist() == [which == 0, which == 1]
+        ones = np.ones((9, 1))
+        corr = CorrSet(np.hstack([pts[0], ones]), np.hstack([pts[1], ones]),
+                       np.tile([1.0, 1.0, 0.0], (9, 1)))
+        with pytest.raises(DegenerateInput, match="coincident points, cannot normalize"):
+            fit_model_at_beta(FUNDAMENTAL, corr, 0.0)
+        with pytest.raises(DegenerateInput, match="coincident points, cannot normalize"):
+            solve_gep_f_beta(corr)
         with pytest.raises(DegenerateInput):
             ref.normalizing_transform(pts[which])
 

@@ -15,7 +15,8 @@ from camsync import (
     inject_outliers,
     synth,
 )
-from camsync.geometry import sampson_distances
+
+import reference_kernels as ref
 
 
 def _epipolar_max(gt):
@@ -24,7 +25,7 @@ def _epipolar_max(gt):
     for arr in gt.sync_pairs.values():
         x1 = np.column_stack([arr[:, :2], np.ones(len(arr))])
         x2 = np.column_stack([arr[:, 2:], np.ones(len(arr))])
-        worst = max(worst, float(np.max(sampson_distances(gt.f.m, x1, x2))))
+        worst = max(worst, float(np.max(ref.sampson_distances(gt.f.m, x1, x2))))
     return worst
 
 
@@ -78,6 +79,18 @@ class TestSceneSpec:
         SceneSpec(n_frames=10, n_tracks=30_000)
         SceneSpec(waypoint_spacing=1.8e-3)  # 99,446 waypoints
         SceneSpec(beta_gt=-9e4, waypoint_spacing=float("inf"))
+
+    @pytest.mark.parametrize("rho, frames", [(1e-12, 1), (0.01, 1), (0.05, 6), (0.0725, 10)])
+    def test_camera2_frame_floor(self, rho, frames):
+        # 100 camera-1 frames and beta = 0: camera 2 has floor(rho * 138)
+        # frames, at least one, and SceneSpec rejects fewer than 10
+        if frames < 10:
+            with pytest.raises(ValueError,
+                               match=f"^camera-2 frame count {frames} is below 10$"):
+                SceneSpec(rho=rho)
+        else:
+            _, t2, _ = generate_scene(SceneSpec(rho=rho))
+            assert [len(t) for t in t2] == [frames, frames]
 
     @given(
         beta=st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False)),

@@ -6,13 +6,15 @@ Exports ``--base`` (a git revision) and the working tree's tracked and
 unignored files into fresh directories, then runs the command that
 BENCHMARK.json declares once per side and workload for each of ``--pairs``
 pairs, alternating which side runs first. Every run uses seed 0 and
-BENCHMARK.json's ``run_seconds``. After the pairs, one traced run
-(``--trace 1``) per side and workload records the per-layer metrics.
+BENCHMARK.json's ``run_seconds``. After the pairs, ``TRACED_RUNS`` traced
+runs (``--trace 1``) per side and workload, alternating in the same way,
+record the per-layer metrics.
 
 The output JSON holds, per workload and end-to-end metric, each side's
 values, median and quartiles, and in how many pairs the head's value was
-better; each run's ``correct``, ``attempted`` and ``failed``; the traced
-metrics; and a description of the machine. Progress goes to stderr.
+better; per workload and per-layer metric, each side's traced values, median
+and quartiles; each run's ``correct``, ``attempted`` and ``failed``; and a
+description of the machine. Progress goes to stderr.
 
 A run that exits non-zero, reads ``correct: false`` or has ``failed`` > 0
 stops the comparison: the script names the run on stderr, writes no JSON and
@@ -37,6 +39,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
 SEED = 0
+# a per-layer figure moves by 20 % or more between two traced runs of the
+# same tree, so one traced run per side cannot support a per-layer claim
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> bytes:
@@ -89,6 +94,23 @@ def run(tree: str, command: list, workload: str, seconds: float, trace: int,
     return res
 
 
+def alternating_runs(trees: dict, command: list, workload: str, seconds: float,
+                     trace: int, count: int, what: str) -> dict[str, list[dict]]:
+    """``count`` runs per side, the first side alternating from round to round."""
+    runs = {side: [] for side in SIDES}
+    for i in range(count):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            label = f"{workload} {what} {i + 1}/{count}: {side}"
+            print(label, file=sys.stderr)
+            runs[side].append(run(trees[side], command, workload, seconds, trace, label))
+    return runs
+
+
+def outcomes(runs: dict[str, list[dict]]) -> dict:
+    return {side: [{k: r[k] for k in ("correct", "attempted", "failed")} for r in runs[side]]
+            for side in SIDES}
+
+
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "values": values}
@@ -137,16 +159,11 @@ def main(argv=None) -> int:
             "base": revs["base"], "head": revs["head"], "machine": machine(),
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
             "command": bench["command"], "seconds": seconds, "seed": SEED,
-            "pairs": args.pairs, "workloads": {},
+            "pairs": args.pairs, "traced_runs": TRACED_RUNS, "workloads": {},
         }
         for workload in (w["name"] for w in bench["workloads"]):
-            runs = {side: [] for side in SIDES}
-            for i in range(args.pairs):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    label = f"{workload} pair {i + 1}/{args.pairs}: {side}"
-                    print(label, file=sys.stderr)
-                    runs[side].append(run(trees[side], bench["command"], workload,
-                                          seconds, 0, label))
+            runs = alternating_runs(trees, bench["command"], workload, seconds, 0,
+                                    args.pairs, "pair")
             metrics = {}
             for spec in bench["end_to_end"]:
                 name = spec["name"]
@@ -159,20 +176,20 @@ def main(argv=None) -> int:
                     "pairs_head_better": sum(sign * (h - b) < 0 for b, h in
                                              zip(values["base"], values["head"])),
                 }
-            traced = {}
-            for side in SIDES:
-                label = f"{workload} traced: {side}"
-                print(label, file=sys.stderr)
-                res = run(trees[side], bench["command"], workload, seconds, 1, label)
-                traced[side] = {
-                    "correct": res["correct"], "failed": res["failed"],
-                    "metrics": {k: v["value"] for k, v in res["metrics"].items()},
+            traced = alternating_runs(trees, bench["command"], workload, seconds, 1,
+                                      TRACED_RUNS, "traced")
+            per_layer = {
+                spec["name"]: {
+                    "unit": spec["unit"], "better": spec["better"],
+                    **{side: summary([r["metrics"][spec["name"]]["value"]
+                                      for r in traced[side]]) for side in SIDES},
                 }
+                for spec in bench["per_layer"]
+            }
             out["workloads"][workload] = {
-                "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
-                                for r in runs[side]] for side in SIDES},
+                "runs": outcomes(runs),
                 "end_to_end": metrics,
-                "traced": traced,
+                "traced": {"runs": outcomes(traced), "per_layer": per_layer},
             }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=1)
