@@ -95,6 +95,21 @@ def _load_two_cameras(path):
     return cams[ids[0]], cams[ids[1]]
 
 
+def _estimate(traj1, traj2, kind, rp, ip) -> SyncRun:
+    """The loop's run under ``ip``; without it, one RANSAC as a one-step run."""
+    if ip is not None:
+        return iterative_sync(traj1, traj2, ip)
+    res = ransac_estimate(traj1, traj2, kind, rp)
+    step = IterationRecord(
+        k=1, d=rp.d, direction=1 if rp.d > 0 else -1, inlier_count=res.inlier_count,
+        beta_k=res.best.beta, accepted=True, j_after=0, skipped_after=0,
+    )
+    return SyncRun(
+        beta_total=res.best.beta, model=res.best.model, iterations=[step],
+        ransac_calls=1, accepted_steps=1, total_correspondences=res.total_correspondences,
+    )
+
+
 def _cmd_sync(args) -> int:
     try:
         traj1, traj2 = _load_two_cameras(args.file)
@@ -136,32 +151,7 @@ def _cmd_sync(args) -> int:
         "max_iterations": args.max_iterations,
     }
     try:
-        if args.single_shot:
-            res = ransac_estimate(traj1, traj2, kind, rp)
-            beta = res.best.beta
-            model = res.best.model
-            inliers = res.inlier_count
-            total = res.total_correspondences
-            records = [
-                IterationRecord(
-                    k=1,
-                    d=args.d,
-                    direction=1 if args.d > 0 else -1,
-                    inlier_count=res.inlier_count,
-                    beta_k=beta,
-                    accepted=True,
-                    j_after=0,
-                    skipped_after=0,
-                )
-            ]
-        else:
-            run = iterative_sync(traj1, traj2, ip)
-            beta = run.beta_total
-            model = run.model
-            records = run.iterations
-            # iterative_sync raises NeverImproved unless some step was accepted
-            inliers = [r for r in records if r.accepted][-1].inlier_count
-            total = run.total_correspondences
+        run = _estimate(traj1, traj2, kind, rp, ip)
     except CamsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (TrajectoryFormatError, NotEnoughCorrespondences)):
@@ -169,14 +159,18 @@ def _cmd_sync(args) -> int:
         return EXIT_ALGORITHM
     if args.fps is not None:
         config["fps"] = args.fps
-        config["beta_seconds"] = float(beta) / args.fps
+        config["beta_seconds"] = float(run.beta_total) / args.fps
+        if not math.isfinite(config["beta_seconds"]):  # a subnormal fps overflows it
+            print(f"error: beta / fps overflows at fps {args.fps!r}", file=sys.stderr)
+            return EXIT_INPUT
     text = sync_report_json(
-        beta=beta,
+        beta=run.beta_total,
         rho=args.rho,
-        model=model,
-        inliers=inliers,
-        total=total,
-        log=[asdict(r) for r in records],
+        model=run.model,
+        # a run holds at least one accepted step, or it raised NeverImproved
+        inliers=[r for r in run.iterations if r.accepted][-1].inlier_count,
+        total=run.total_correspondences,
+        log=[asdict(r) for r in run.iterations],
         seed=args.seed,
         config=config,
     )
@@ -251,9 +245,19 @@ def _pose_errors(model, gt):
     return rotation_error(r, r_gt), translation_error(t, t_gt)
 
 
-def _config_list(config: dict, key: str, kinds: tuple, default: list) -> list:
+# every sweep config key with its default; a key not listed is an error. The
+# empty grid defaults fail run_sweep's check, so those keys are required.
+SWEEP_DEFAULTS = {
+    "betas": [], "ds": [], "noise": [0.5], "scenes": 0, "algorithms": [],
+    "seed": 0, "motion": "smooth-random", "rho": 1.0, "n_frames": 100, "n_tracks": 2,
+    "waypoint_spacing": 25.0, "speed_px_per_frame": 8.0, "threshold": 1.0,
+    "max_iterations": 500, "pmin": 0, "pmax": 5, "kmax": 20,
+}
+
+
+def _config_list(config: dict, key: str, kinds: tuple) -> list:
     """``config[key]``, a list whose items are all of ``kinds`` (bools excluded)."""
-    value = config.get(key, default)
+    value = config.get(key, SWEEP_DEFAULTS[key])
     if not isinstance(value, list) or not all(
         isinstance(x, kinds) and not isinstance(x, bool) for x in value
     ):
@@ -262,10 +266,10 @@ def _config_list(config: dict, key: str, kinds: tuple, default: list) -> list:
     return value
 
 
-def _config_value(config: dict, key: str, convert, default):
+def _config_value(config: dict, key: str, convert):
     """``convert(config[key])``; a value it rejects is a ValueError naming the key."""
     try:
-        return convert(config.get(key, default))
+        return convert(config.get(key, SWEEP_DEFAULTS[key]))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"sweep config {key!r}: {exc}") from None
 
@@ -273,40 +277,44 @@ def _config_value(config: dict, key: str, convert, default):
 def run_sweep(config: dict) -> list[dict]:
     """Execute the experiment grid; returns one row dict per cell.
 
-    A malformed config (not an object, a list setting that is not a list of
-    the right items, a value its setting cannot convert, or RANSAC, loop or
-    scene settings, ``ds`` entries included, that their classes reject) raises
-    ValueError before any scene is generated.
+    A malformed config (not an object, a key not in ``SWEEP_DEFAULTS``, a
+    list setting that is not a list of the right items, a value its setting
+    cannot convert, or RANSAC, loop or scene settings, ``ds`` entries included,
+    that their classes reject) raises ValueError before any scene is generated.
+    A scene the generator cannot make raises its ``CamsyncError``.
     """
     if not isinstance(config, dict):
         raise ValueError("sweep config must be a JSON object")
-    betas = _config_list(config, "betas", (int, float), [])
-    ds = _config_list(config, "ds", (int,), [])
-    noises = _config_list(config, "noise", (int, float), [0.5])
-    n_scenes = _config_value(config, "scenes", int, 0)
-    algorithms = _config_list(config, "algorithms", (str,), [])
-    if not betas or not n_scenes or not algorithms or not (ds or all(
+    for key in config:
+        if key not in SWEEP_DEFAULTS:
+            raise ValueError(f"sweep config: unknown key {key!r}")
+    betas = _config_list(config, "betas", (int, float))
+    ds = _config_list(config, "ds", (int,))
+    noises = _config_list(config, "noise", (int, float))
+    n_scenes = _config_value(config, "scenes", int)
+    algorithms = _config_list(config, "algorithms", (str,))
+    if not betas or n_scenes < 1 or not algorithms or not (ds or all(
         a in ITER_KINDS for a in algorithms
     )):
         raise ValueError(
-            "sweep config needs non-empty 'betas', 'scenes', 'algorithms' and "
-            "'ds' (unless all algorithms are iterative)"
+            "sweep config needs non-empty 'betas' and 'algorithms', 'scenes' >= 1 "
+            "and non-empty 'ds' (unless all algorithms are iterative)"
         )
     for a in algorithms:
         if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
-    master = _config_value(config, "seed", int, 0)
-    motion = config.get("motion", "smooth-random")
-    rho = _config_value(config, "rho", float, 1.0)
-    n_frames = _config_value(config, "n_frames", int, 100)
-    n_tracks = _config_value(config, "n_tracks", int, 2)
-    spacing = _config_value(config, "waypoint_spacing", float, 25.0)
-    speed = _config_value(config, "speed_px_per_frame", float, 8.0)
-    threshold = _config_value(config, "threshold", float, 1.0)
-    max_iters = _config_value(config, "max_iterations", int, 500)
-    pmin = _config_value(config, "pmin", int, 0)
-    pmax = _config_value(config, "pmax", int, 5)
-    kmax = _config_value(config, "kmax", int, 20)
+    master = _config_value(config, "seed", int)
+    motion = config.get("motion", SWEEP_DEFAULTS["motion"])
+    rho = _config_value(config, "rho", float)
+    n_frames = _config_value(config, "n_frames", int)
+    n_tracks = _config_value(config, "n_tracks", int)
+    spacing = _config_value(config, "waypoint_spacing", float)
+    speed = _config_value(config, "speed_px_per_frame", float)
+    threshold = _config_value(config, "threshold", float)
+    max_iters = _config_value(config, "max_iterations", int)
+    pmin = _config_value(config, "pmin", int)
+    pmax = _config_value(config, "pmax", int)
+    kmax = _config_value(config, "kmax", int)
     # every setting and scene is checked before the first scene is generated
     try:
         rp = RansacParams(threshold=threshold, max_iterations=max_iters, rho=rho)
@@ -342,16 +350,18 @@ def run_sweep(config: dict) -> list[dict]:
     for scene_id, beta, spec in scenes:
         traj1, traj2, gt = generate_scene(spec)
         for alg in algorithms:
+            kind = ITER_KINDS.get(alg, alg)
             for d in [0] if alg in ITER_KINDS else ds:
                 # iterative rows read d = 0; the loop sets its own d
                 cell_rp = replace(rp, seed=spec.seed, d=d if d else 1)
+                cell_ip = None if d else replace(ip, kind=kind, ransac=cell_rp)
                 rows.append(_sweep_cell(
-                    scene_id, beta, d, alg, traj1, traj2, gt, cell_rp, ip
+                    scene_id, beta, d, alg, kind, traj1, traj2, gt, cell_rp, cell_ip
                 ))
     return rows
 
 
-def _sweep_cell(scene_id, beta_gt, d, alg, traj1, traj2, gt, rp, ip) -> dict:
+def _sweep_cell(scene_id, beta_gt, d, alg, kind, traj1, traj2, gt, rp, ip) -> dict:
     row = {
         "scene_id": scene_id,
         "beta_gt": repr(float(beta_gt)),
@@ -365,25 +375,18 @@ def _sweep_cell(scene_id, beta_gt, d, alg, traj1, traj2, gt, rp, ip) -> dict:
         "status": "ok",
     }
     try:
-        if alg in ITER_KINDS:
-            kind = ITER_KINDS[alg]
-            run = iterative_sync(traj1, traj2, replace(ip, kind=kind, ransac=rp))
+        run = _estimate(traj1, traj2, kind, rp, ip)
+        if SOLVER_KINDS[kind].estimates_beta:
             row["beta_est"] = repr(float(run.beta_total))
-            row["inlier_fraction"] = repr(
-                _final_inlier_fraction(traj1, traj2, rp, kind, run)
-            )
-            row["ransac_count"] = run.ransac_calls
-            model = run.model
-        else:
-            res = ransac_estimate(traj1, traj2, alg, rp)
-            if SOLVER_KINDS[alg].estimates_beta:
-                row["beta_est"] = repr(float(res.best.beta))
-            row["inlier_fraction"] = repr(res.inlier_count / res.total_correspondences)
-            row["ransac_count"] = 1
-            model = res.best.model
-        if model.kind == FUNDAMENTAL:
+        # a loop's run is rescored at d = 1 from the offset it ended at
+        row["inlier_fraction"] = repr(
+            _final_inlier_fraction(traj1, traj2, rp, kind, run) if ip is not None
+            else run.iterations[-1].inlier_count / run.total_correspondences
+        )
+        row["ransac_count"] = run.ransac_calls
+        if run.model.kind == FUNDAMENTAL:
             try:
-                re_deg, te = _pose_errors(model, gt)
+                re_deg, te = _pose_errors(run.model, gt)
                 row["rot_err_deg"] = repr(re_deg)
                 row["trans_err"] = repr(te)
             except CamsyncError:
@@ -397,9 +400,9 @@ def _final_inlier_fraction(traj1, traj2, rp, kind, run: SyncRun) -> float:
     from .robust import build_correspondences, score_candidate
     from .solvers import SolverCandidate
 
-    accepted = [r for r in run.iterations if r.accepted]
-    last = accepted[-1]
-    corr, _ = build_correspondences(traj1, traj2, float(last.j_after), rp.rho, 1)
+    # the offset moves only on an accepted step, so the last record holds it
+    offset = run.iterations[-1].j_after
+    corr, _ = build_correspondences(traj1, traj2, float(offset), rp.rho, 1)
     if not len(corr):
         return 0.0
     cand = SolverCandidate(beta=run.beta_total, model=run.model)
@@ -412,7 +415,7 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         rows = run_sweep(config)
-    except ValueError as exc:
+    except (ValueError, CamsyncError) as exc:  # or a scene synth cannot make
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -20,6 +20,9 @@ from .errors import MissingFrame, SingularModel
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
 MAX_FRAME = 2**63 - 1  # frames are stored as int64
+# largest |u| or |v| of a sample, far below the double range, so that secant
+# differences and squares and products of two coordinates stay finite
+MAX_COORD = 1e150
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,9 @@ class ImageSample:
             raise ValueError(f"frame must be in [0, 2**63 - 1], got {self.frame}")
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError("sample coordinates must be finite")
+        if not max(abs(self.u), abs(self.v)) <= MAX_COORD:
+            raise ValueError(f"sample coordinates must be at most {MAX_COORD:g} "
+                             "in magnitude")
 
 
 @dataclass(eq=False)
@@ -42,9 +48,10 @@ class Trajectory:
     """Track of one moving point in one camera.
 
     ``frames`` (n,) int64, nonnegative and strictly increasing, and ``points``
-    (n, 2) finite float64 hold the samples as read-only copies of the input.
-    Frame lookups are binary searches over ``frames``, so memory stays
-    proportional to the sample count however far apart the frames lie.
+    (n, 2) float64, finite and at most ``MAX_COORD`` in magnitude, hold the
+    samples as read-only copies of the input. Frame lookups are binary
+    searches over ``frames``, so memory stays proportional to the sample count
+    however far apart the frames lie.
     """
 
     camera_id: str
@@ -62,6 +69,9 @@ class Trajectory:
             raise ValueError(f"{name}: frames must be nonnegative and strictly increasing")
         if not np.isfinite(points).all():
             raise ValueError(f"{name}: sample coordinates must be finite")
+        if not (np.abs(points) <= MAX_COORD).all():
+            raise ValueError(f"{name}: sample coordinates must be at most "
+                             f"{MAX_COORD:g} in magnitude")
         frames.flags.writeable = points.flags.writeable = False
         self.frames, self.points = frames, points
 

@@ -355,17 +355,14 @@ def ransac_estimate(
                 best, best_mask, best_count, best_res = cand, mask, count, res
         if best_count > 0:
             w = best_count / n
-            if w >= 1.0:
-                needed = valid_draws
+            # at w = 1 the clamp makes the formula ask for one valid draw
+            denom = math.log1p(-min(w**m, 1.0 - 1e-15))
+            if denom == 0.0:  # w**m underflowed; no early stop
+                needed = params.max_iterations
             else:
-                denom = math.log1p(-min(w**m, 1.0 - 1e-15))
-                if denom == 0.0:  # w**m underflowed; no early stop
-                    needed = params.max_iterations
-                else:
-                    needed = min(
-                        params.max_iterations,
-                        math.ceil(math.log(1.0 - CONFIDENCE) / denom),
-                    )
+                needed = min(
+                    params.max_iterations, math.ceil(math.log(1.0 - CONFIDENCE) / denom)
+                )
         if valid_draws >= needed:  # before the next sample is drawn or prepared
             break
     if best is None:

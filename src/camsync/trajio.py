@@ -67,7 +67,7 @@ def _read_columns(rows) -> dict[str, list[Trajectory]]:
     cuts = np.cumsum(np.bincount(gid))[:-1]
     out: dict[str, list[Trajectory]] = defaultdict(list)
     # each track's frames in order: Trajectory raises ValueError on a negative
-    # or repeated frame and on a non-finite coordinate
+    # or repeated frame and on a coordinate that is not finite or past MAX_COORD
     for (cam, track), t_frames, t_points in zip(
         ids, np.split(frames[order], cuts), np.split(points[order], cuts)
     ):

@@ -413,6 +413,36 @@ class TestCliSync:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
+    def test_fps_that_overflows_beta_seconds_is_input_error(self, tmp_path, capsys):
+        path = _make_scene_csv(tmp_path / "scene.csv", beta=2.0)
+        out = tmp_path / "report.json"
+        rc = main(["sync", str(path), "--single-shot", "--fps", "1e-320",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: beta / fps overflows at fps 1e-320\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["F", "H"])
+    @pytest.mark.parametrize("big", ["1e308", "1.0000000000000002e150"])
+    def test_coordinate_past_the_bound_is_input_error(self, tmp_path, capsys, model, big):
+        path = tmp_path / "scene.csv"
+        _make_scene_csv(path, beta=2.0)
+        with open(path, "a") as fh:
+            fh.write(f"cam1,far,0,{big},-{big}\ncam2,far,0,{big},-{big}\n"
+                     f"cam1,far,1,-{big},{big}\ncam2,far,1,-{big},{big}\n")
+        line = len(path.read_text().splitlines()) - 3
+        rc = main(["sync", str(path), "--single-shot", "--model", model])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: sample coordinates must be at most 1e+150 in magnitude\n"
+        )
+
+    def test_coordinate_at_the_bound_is_read(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("camera_id,track_id,frame,u,v\ncam1,t0,0,1e150,-1e150\n")
+        (track,) = read_trajectories(path)["cam1"]
+        assert track.points.tolist() == [[1e150, -1e150]]
+
     @pytest.mark.parametrize(
         "opts, message",
         [
@@ -616,6 +646,42 @@ class TestCliSweep:
         with pytest.raises(ValueError,
                            match="^sweep config: camera-2 frame count 1 is below 10$"):
             run_sweep(config)
+
+    def test_unreachable_speed_is_input_error_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(motion="smooth-random",
+                                               speed_px_per_frame=1e6)))
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep", str(cfg), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: calibrated speed ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenes", [0, -1])
+    def test_no_scenes_is_reported_before_any_scene(self, tmp_path, capsys, monkeypatch,
+                                                    scenes):
+        def no_scene(spec):
+            raise AssertionError("a scene was generated before the config was checked")
+
+        monkeypatch.setattr(camsync.cli, "generate_scene", no_scene)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(scenes=scenes)))
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep", str(cfg), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert "'scenes' >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_key_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(noise_sigma=[0.1])))
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep", str(cfg), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: sweep config: unknown key 'noise_sigma'\n"
+        )
+        assert not out.exists()
 
     def test_rows_deterministic(self):
         cfg = self._config(betas=[1.0])

@@ -308,6 +308,30 @@ class TestRansacEstimate:
         res = ransac_estimate(t1, t2, KIND_F_GEP, params)
         assert res.iterations_run < 500
 
+    @pytest.mark.parametrize("kind, exact_model, seed, draws", [
+        (KIND_F_GEP, "F", 1, 1),
+        (KIND_F_MIN, "F", 1, 1),
+        (KIND_H_MIN, "H", 3, 2),  # its first draw is degenerate
+    ])
+    def test_all_inlier_draw_stops_at_the_first_valid_draw(
+        self, monkeypatch, kind, exact_model, seed, draws
+    ):
+        # w = 1: the stop rule's clamp of w**m below 1 asks for one valid draw
+        t1, t2, _ = exact_scene(seed=1, exact_model=exact_model)
+        valid = []
+        generate = robust._generate
+
+        def counted(*args):
+            cands = generate(*args)  # raises on a draw that does not count
+            valid.append(len(cands))
+            return cands
+
+        monkeypatch.setattr(robust, "_generate", counted)
+        res = ransac_estimate(t1, t2, kind, RansacParams(seed=seed, threshold=1.0, d=1))
+        assert len(valid) == 1
+        assert res.iterations_run == draws
+        assert res.inlier_count == res.total_correspondences == 240
+
     def test_outlier_contaminated_recovery(self):
         t1, t2, gt = noisy_scene(seed=5, beta_gt=3.0)
         (t1o, t2o), labels = inject_outliers(t1, t2, 0.3, seed=99)

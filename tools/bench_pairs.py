@@ -1,6 +1,6 @@
 """Compare a base revision with the working tree on the benchmark.
 
-    python3 tools/bench_pairs.py --base HEAD~1 --pairs 5 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH_<n>.json
 
 Exports ``--base`` (a git revision) and the working tree's tracked and
 unignored files into fresh directories, then runs the command that
@@ -141,7 +141,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of the base tree")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
