@@ -405,7 +405,7 @@ def _final_inlier_fraction(traj1, traj2, rp, kind, run: SyncRun) -> float:
     corr, _ = build_correspondences(traj1, traj2, float(offset), rp.rho, 1)
     if not len(corr):
         return 0.0
-    cand = SolverCandidate(beta=run.beta_total, model=run.model)
+    cand = SolverCandidate(beta=run.beta_total - offset, model=run.model)
     mask, _ = score_candidate(kind, cand, corr, rp.threshold)
     return float(mask.sum() / len(corr))
 

@@ -3,8 +3,8 @@
 Tracks are sequences of 2D image samples indexed by integer frame. Camera-1
 frame ``i`` happens at real-valued camera-2 time ``j(i) = beta + rho * i``.
 The camera-2 image curve is approximated around an anchor frame by a secant,
-producing a linearized correspondence whose predicted point at shift ``beta``
-is ``u + beta * v``.
+producing a linearized correspondence, built at an offset ``beta0``, whose
+predicted point at shift ``beta0 + delta`` is ``u + delta * v``.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ class Trajectory:
 class LinearizedCorrespondence:
     """Secant linearization of the camera-2 curve near one camera-1 sample.
 
-    The camera-2 point predicted at shift ``beta`` is ``u_vec + beta * v_vec``.
-    ``v_vec`` is normalized per frame, so ``beta`` is in camera-2 frame units
-    regardless of the interpolation distance ``d``.
+    The camera-2 point predicted at shift ``beta0 + delta`` is
+    ``u_vec + delta * v_vec``. ``v_vec`` is normalized per frame, so ``delta``
+    is in camera-2 frame units regardless of the interpolation distance ``d``.
     """
 
     u_vec: np.ndarray  # anchor point, pixels (2,)
@@ -129,9 +129,9 @@ def linearize(
     """Linearize the camera-2 track around the frame matching camera-1 frame i.
 
     Anchors at j0 = floor(beta0 + rho*i) and takes the secant to j0 + d,
-    divided by d. The fractional part of beta0 + rho*i is folded into u so the
-    prediction at shift beta interpolates the track exactly when the track is
-    an exact line.
+    divided by d. u is the secant's point at camera-2 time beta0 + rho*i, so
+    the prediction u + delta*v at the local shift delta = beta - beta0
+    interpolates the track exactly when the track is an exact line.
     """
     if d == 0:
         raise ValueError("interpolation distance d must be nonzero")
@@ -157,7 +157,7 @@ def linearize(
         )
     p0, p1 = traj2.points[idx]
     v = (p1 - p0) / d
-    u = p0 + (target - j0) * v - beta0 * v
+    u = p0 + (target - j0) * v
     return LinearizedCorrespondence(u_vec=u, v_vec=v, j0=j0, d=d)
 
 

@@ -1,7 +1,7 @@
-"""Seeded RANSAC over the time-shift solvers.
+"""Seeded RANSAC over the time-shift solvers, in the local shift beta - beta0.
 
 Hypotheses are scored against every valid correspondence using the same
-linearized prediction ``u + beta * v`` the solvers fit, with the Sampson
+linearized prediction ``u + delta * v`` the solvers fit, with the Sampson
 distance for fundamental matrices and the symmetric transfer error for
 homographies. Per-iteration RNG streams are derived as ``seed XOR iteration``
 so results are deterministic and independent of evaluation order.
@@ -112,14 +112,14 @@ class RansacParams:
 
     @property
     def window(self) -> tuple[float, float]:
-        """The (lo, hi) bounds of the shifts RANSAC accepts."""
+        """The (lo, hi) bounds of the local shifts beta - beta0 RANSAC accepts."""
         half = self.beta_max if self.beta_max is not None else 10.0 * max(abs(self.d), 1)
-        return self.beta0 - half, self.beta0 + half
+        return -half, half
 
 
 @dataclass
 class RansacResult:
-    best: SolverCandidate
+    best: SolverCandidate  # its beta is absolute: beta0 plus the local shift
     inlier_mask: np.ndarray
     inlier_count: int
     iterations_run: int
@@ -178,8 +178,9 @@ def build_correspondences(
 ) -> tuple[CorrSet, list[tuple[str, int]]]:
     """Pair camera-1 samples with camera-2 linearizations by shared track id.
 
-    Row for row the same arithmetic as ``linearize``, gathered per track:
-    camera-1 frames whose secant frames j0 .. j0+d are not all present (gap or
+    Row for row the same arithmetic as ``linearize``, gathered per track, so
+    ``u + delta * v`` predicts the camera-2 point at beta0 + rho * i + delta.
+    Camera-1 frames whose secant frames j0 .. j0+d are not all present (gap or
     boundary) are dropped. Returns the stacked arrays plus (track_id, frame)
     keys aligned with rows, in camera-1 track then frame order.
     """
@@ -193,7 +194,7 @@ def build_correspondences(
         p1 = t2.points[i0 + d]
         vv = (p1 - p0) / d
         s1.append(t1.points[ok])
-        u.append(p0 + (target - j0)[:, None] * vv - beta0 * vv)
+        u.append(p0 + (target - j0)[:, None] * vv)
         v.append(vv)
         keys.extend(zip([t1.track_id] * len(j0), t1.frames[ok].tolist()))
     n = len(keys)
@@ -233,22 +234,19 @@ def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet
         block = min(2 * block, DRAW_BLOCK)
 
 
-def _generate(
-    kind: str, sub: CorrSet, beta0: float, window: tuple[float, float]
-) -> list[SolverCandidate]:
-    # the F solvers build no model for a shift outside the window; h-min's
-    # per-root filters decide whether a draw is valid, so it builds them all
+def _generate(kind: str, sub: CorrSet, window: tuple[float, float]) -> list[SolverCandidate]:
+    """One draw's candidates, with local shifts. The F solvers build no model
+    outside the window; h-min's per-root filters decide whether a draw is
+    valid, so it builds them all. The baselines fit ``sub`` as given, the
+    prediction at beta0, and hold the local shift at 0."""
     if kind == KIND_F_GEP:
         return solve_gep_f_beta(sub, window)
     if kind == KIND_F_MIN:
         return solve_min_f_beta(sub, window)
     if kind == KIND_H_MIN:
         return solve_min_h_beta(sub)
-    # the classical baselines: models of the prediction at beta0, the shift
-    # held there
-    held = CorrSet(sub.s1, sub.u + beta0 * sub.v, sub.v)
-    models = solve_7pt_f(held) if kind == KIND_F_7PT else [solve_4pt_h(held)]
-    return [SolverCandidate(beta=beta0, model=m) for m in models]
+    models = solve_7pt_f(sub) if kind == KIND_F_7PT else [solve_4pt_h(sub)]
+    return [SolverCandidate(beta=0.0, model=m) for m in models]
 
 
 def score_candidate(
@@ -277,8 +275,8 @@ def refine_candidate(
     Starts from ``cand`` with its inlier ``mask`` and summed inlier residual
     ``res``, as ``score_candidate`` gave them. Up to ``REFINE_ROUNDS`` rounds
     of ``fit_model_at_beta`` then, for the kinds that estimate the shift,
-    ``fit_beta_at_model``; the classical baselines keep their shift fixed at
-    beta0. Each round is kept only if it does not lose inliers; the incumbent
+    ``fit_beta_at_model``; the classical baselines keep their local shift at
+    0. Each round is kept only if it does not lose inliers; the incumbent
     wins ties.
     """
     best, best_mask, best_res = cand, mask, res
@@ -339,7 +337,7 @@ def ransac_estimate(
     for it, sub in enumerate(_samples(kind, corr, params)):
         iterations = it + 1
         try:
-            cands = _generate(kind, sub, params.beta0, (lo, hi))
+            cands = _generate(kind, sub, (lo, hi))
         except (DegenerateInput, NoRealSolution):
             continue
         valid_draws += 1
@@ -373,7 +371,7 @@ def ransac_estimate(
         kind, best, best_mask, best_res, corr, params
     )
     return RansacResult(
-        best=best,
+        best=SolverCandidate(beta=params.beta0 + best.beta, model=best.model),
         inlier_mask=best_mask,
         inlier_count=best_count,
         iterations_run=iterations,

@@ -71,6 +71,8 @@ class SceneSpec:
             raise ValueError("noise_sigma must be >= 0")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.speed_px_per_frame <= 0:
+            raise ValueError("speed_px_per_frame must be positive")
         if self.motion not in (SMOOTH_RANDOM, EXACT_LINEAR, PLANAR_SMOOTH):
             raise ValueError(f"unknown motion {self.motion!r}")
         if self.exact_model not in ("F", "H"):

@@ -121,13 +121,13 @@ class TestLinearize:
                 assert np.allclose(lin.u_vec + beta * lin.v_vec, expected, atol=1e-12)
 
     def test_fractional_beta0_alignment(self):
-        # with beta0 = 0.5 the anchor shifts so u + beta v stays exact
+        # with beta0 = 0.5, u + delta v is the track at beta0 + rho*i + delta
         a, w = np.array([0.0, 0.0]), np.array([2.0, 1.0])
         traj = line_trajectory(a, w)
         lin = linearize(traj, i=6, beta0=0.5, rho=1.0, d=1)
-        for beta in (0.2, 0.5, 0.9):
-            expected = a + (6 + beta) * w
-            assert np.allclose(lin.u_vec + beta * lin.v_vec, expected, atol=1e-12)
+        for delta in (-0.3, 0.0, 0.4):
+            expected = a + (0.5 + 6 + delta) * w
+            assert np.allclose(lin.u_vec + delta * lin.v_vec, expected, atol=1e-12)
 
     def test_missing_frame_beyond_end(self):
         traj = line_trajectory([0, 0], [1, 1], n=10)

@@ -257,6 +257,17 @@ class TestCliSynth:
         assert capsys.readouterr().err == "error: camera-2 frame count 1 is below 10\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("motion", ["smooth-random", "exact-linear"])
+    @pytest.mark.parametrize("speed", ["0", "-5"])
+    def test_non_positive_speed_is_input_error_and_writes_nothing(
+        self, tmp_path, capsys, motion, speed
+    ):
+        out = tmp_path / "x.csv"
+        rc = main(["synth", f"--speed={speed}", "--motion", motion, "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "error: speed_px_per_frame must be positive\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     [],
@@ -646,6 +657,21 @@ class TestCliSweep:
         with pytest.raises(ValueError,
                            match="^sweep config: camera-2 frame count 1 is below 10$"):
             run_sweep(config)
+
+    def test_zero_speed_is_reported_before_any_scene(self, tmp_path, capsys, monkeypatch):
+        def no_scene(spec):
+            raise AssertionError("a scene was generated before the config was checked")
+
+        monkeypatch.setattr(camsync.cli, "generate_scene", no_scene)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(speed_px_per_frame=0)))
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep", str(cfg), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: sweep config: speed_px_per_frame must be positive\n"
+        )
+        assert not out.exists()
 
     def test_unreachable_speed_is_input_error_and_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -288,8 +288,8 @@ class TestRansacParams:
 
     def test_window_default_tracks_d(self):
         assert RansacParams(d=1).window == (-10.0, 10.0)
-        assert RansacParams(d=-4, beta0=5.0).window == (-35.0, 45.0)
-        assert RansacParams(d=4, beta0=-1.0, beta_max=3.0).window == (-4.0, 2.0)
+        assert RansacParams(d=-4, beta0=5.0).window == (-40.0, 40.0)
+        assert RansacParams(d=4, beta0=-1.0, beta_max=3.0).window == (-3.0, 3.0)
         assert RansacParams(beta_max=0.0).window == (0.0, 0.0)
 
 

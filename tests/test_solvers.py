@@ -221,6 +221,29 @@ class TestExactSceneProperties:
         b1 = best_beta_match(solver(moved), beta_gt).beta
         assert abs(b1 - b0) < beta_tol
 
+    @pytest.mark.parametrize("kind", sorted(EXACT_SOLVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), beta_gt=st.floats(-6, 6), d=st.sampled_from([1, 2, 4]),
+        delta=st.one_of(st.integers(-1000, 1000), st.floats(-1000, 1000)),
+    )
+    def test_beta_equivariant_to_anchor_shift(self, kind, seed, beta_gt, d, delta):
+        # anchors u + delta v are the rows built delta frames further on: the
+        # matching candidate's shift moves from beta to beta - delta, its
+        # model stays
+        solver, _, _, beta_tol, model_tol = EXACT_SOLVERS[kind]
+        corr, _ = exact_draw(kind, seed, beta_gt, d)
+        moved = CorrSet(corr.s1, corr.u + delta * corr.v, corr.v)
+        if kind == "f-min":  # the window RANSAC gives it at d = 1, moved along
+            lo, hi = beta_gt - 10.0, beta_gt + 10.0
+            c0, c1 = solver(corr, (lo, hi)), solver(moved, (lo - delta, hi - delta))
+        else:
+            c0, c1 = solver(corr), solver(moved)
+        b0 = best_beta_match(c0, beta_gt)
+        b1 = best_beta_match(c1, beta_gt - delta)
+        assert abs(b1.beta - (b0.beta - delta)) < beta_tol
+        assert model_distance(b1.model, b0.model) < model_tol
+
 
 def candidate_bytes(cands):
     return [
