@@ -36,11 +36,11 @@ from .solvers import (
     fit_beta_at_model,
     fit_model_at_beta,
     prepare_f_draws,
-    solve_4pt_h,
-    solve_7pt_f,
-    solve_gep_f_beta,
-    solve_min_f_beta,
-    solve_min_h_beta,
+    solve_4pt_h,  # noqa: F401 (each solver is looked up by its SolverKind.solver)
+    solve_7pt_f,  # noqa: F401
+    solve_gep_f_beta,  # noqa: F401
+    solve_min_f_beta,  # noqa: F401
+    solve_min_h_beta,  # noqa: F401
 )
 # scalar reference of build_correspondences; the benchmark's traced run counts
 # calls through this binding
@@ -59,20 +59,25 @@ DRAW_BLOCK = 64  # most F-solver samples prepared at once; blocks grow 4, 8, ...
 
 @dataclass(frozen=True)
 class SolverKind:
-    """What a RANSAC solver kind is: its minimal sample, its geometry and
-    whether it estimates the shift (the classical baselines hold it at beta0)."""
+    """What a RANSAC solver kind is: its minimal sample, its geometry, whether
+    it estimates the shift (the classical baselines hold it at beta0), the
+    name this module binds its solver to and whether ``prepare_f_draws`` makes
+    its draws. ``ransac_estimate`` looks the name up when it runs, so a
+    rebinding of ``robust.solve_*`` sees every call."""
 
     sample_size: int
     geometry: str  # FUNDAMENTAL or HOMOGRAPHY
     estimates_beta: bool
+    solver: str
+    prepared: bool
 
 
 SOLVER_KINDS = {
-    KIND_F_GEP: SolverKind(9, FUNDAMENTAL, True),
-    KIND_F_MIN: SolverKind(8, FUNDAMENTAL, True),
-    KIND_H_MIN: SolverKind(5, HOMOGRAPHY, True),
-    KIND_F_7PT: SolverKind(7, FUNDAMENTAL, False),
-    KIND_H_4PT: SolverKind(4, HOMOGRAPHY, False),
+    KIND_F_GEP: SolverKind(9, FUNDAMENTAL, True, "solve_gep_f_beta", True),
+    KIND_F_MIN: SolverKind(8, FUNDAMENTAL, True, "solve_min_f_beta", True),
+    KIND_H_MIN: SolverKind(5, HOMOGRAPHY, True, "solve_min_h_beta", False),
+    KIND_F_7PT: SolverKind(7, FUNDAMENTAL, False, "solve_7pt_f", False),
+    KIND_H_4PT: SolverKind(4, HOMOGRAPHY, False, "solve_4pt_h", False),
 }
 
 
@@ -210,18 +215,18 @@ def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet
     """Each draw's sample, in draw order, up to ``params.max_iterations``.
 
     Draw ``it`` takes the indices of ``default_rng(seed ^ it)``, so drawing
-    ahead changes no stream. The F kinds draw in blocks of 4, 8, ... up to
+    ahead changes no stream. Prepared kinds draw in blocks of 4, 8, ... up to
     ``DRAW_BLOCK`` and prepare each block with one ``prepare_f_draws`` call;
     samples drawn past the point where the caller stops are never solved.
     """
-    m = solver_kind(kind).sample_size
+    spec = solver_kind(kind)
     n = len(corr)
 
     def draw(it):
         rng = np.random.default_rng(np.uint64(params.seed) ^ np.uint64(it))
-        return rng.choice(n, size=m, replace=False)
+        return rng.choice(n, size=spec.sample_size, replace=False)
 
-    if kind not in (KIND_F_GEP, KIND_F_MIN):
+    if not spec.prepared:
         for it in range(params.max_iterations):
             yield corr.take(draw(it))
         return
@@ -232,21 +237,6 @@ def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet
         yield from prepare_f_draws(corr.s1[idx], corr.u[idx], corr.v[idx])
         it += count
         block = min(2 * block, DRAW_BLOCK)
-
-
-def _generate(kind: str, sub: CorrSet, window: tuple[float, float]) -> list[SolverCandidate]:
-    """One draw's candidates, with local shifts. The F solvers build no model
-    outside the window; h-min's per-root filters decide whether a draw is
-    valid, so it builds them all. The baselines fit ``sub`` as given, the
-    prediction at beta0, and hold the local shift at 0."""
-    if kind == KIND_F_GEP:
-        return solve_gep_f_beta(sub, window)
-    if kind == KIND_F_MIN:
-        return solve_min_f_beta(sub, window)
-    if kind == KIND_H_MIN:
-        return solve_min_h_beta(sub)
-    models = solve_7pt_f(sub) if kind == KIND_F_7PT else [solve_4pt_h(sub)]
-    return [SolverCandidate(beta=0.0, model=m) for m in models]
 
 
 def score_candidate(
@@ -319,7 +309,9 @@ def ransac_estimate(
     Deterministic for fixed seed and inputs. Sampled sets rejected by the
     solver do not count toward the adaptive termination rule.
     """
-    m = solver_kind(kind).sample_size
+    spec = solver_kind(kind)
+    m = spec.sample_size
+    solve = globals()[spec.solver]
     corr, keys = build_correspondences(traj1, traj2, params.beta0, params.rho, params.d)
     n = len(corr)
     if n < m:
@@ -333,17 +325,14 @@ def ransac_estimate(
     needed = params.max_iterations
     valid_draws = 0
     iterations = 0
-    lo, hi = params.window
     for it, sub in enumerate(_samples(kind, corr, params)):
         iterations = it + 1
         try:
-            cands = _generate(kind, sub, (lo, hi))
+            cands = solve(sub, params.window)
         except (DegenerateInput, NoRealSolution):
             continue
         valid_draws += 1
         for cand in cands:
-            if not (lo <= cand.beta <= hi):
-                continue
             try:
                 mask, res = score_candidate(kind, cand, corr, params.threshold)
             except SingularModel:

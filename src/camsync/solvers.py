@@ -7,21 +7,23 @@ point at shift ``beta`` is ``u + beta * v``. The epipolar constraint becomes
 constraint is handled through the skew-symmetric elimination of the projective
 scale.
 
-Solvers:
+Solvers, each called as ``solve(corr, window=None)``; each returns the
+``SolverCandidate``s with lo <= beta <= hi of a ``window = (lo, hi)``:
   - solve_gep_f_beta: 9 correspondences, generalized eigenvalue problem,
     compressed to 6x6 using the rank deficiency of the beta coefficient matrix.
   - solve_min_f_beta: 8 correspondences plus det(F) = 0; the same compression
     to a 5x6 pencil makes it a degree-16 polynomial, sampled on the window.
   - solve_min_h_beta: 5 correspondences (two equations each for four, one for
     the fifth), nullspace parametrization and a 3x3 eigenvalue problem.
-  - solve_7pt_f / solve_4pt_h: classical baselines ignoring the time shift.
+  - solve_7pt_f / solve_4pt_h: classical baselines ignoring the time shift;
+    their candidates hold it at 0.
   - fit_model_at_beta / fit_beta_at_model: the least-squares fits that
     RANSAC's refinement alternates over a consensus set.
 
 Only this module computes in normalized coordinates: every solver and fit
 conditions both images with isotropic (Hartley-style) normalization, maps its
-matrices back to pixels with ``_to_pixels``, and the time-shift solvers build
-their candidates with ``_candidates``.
+matrices back to pixels with ``_to_pixels``, and every solver builds its
+candidates with ``_candidates``.
 
 The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
 overhead costs more than the arithmetic. So ``prepare_f_draws`` compresses a
@@ -248,6 +250,12 @@ def _candidates(to_pixels, found) -> list[SolverCandidate]:
     return out
 
 
+def _in_window(cands: list[SolverCandidate], window) -> list[SolverCandidate]:
+    """The candidates with lo <= beta <= hi, in order; all without a window."""
+    lo, hi = (-math.inf, math.inf) if window is None else window
+    return [c for c in cands if lo <= c.beta <= hi]
+
+
 # ---------------------------------------------------------------------------
 # generalized eigenvalue solver, 9 correspondences
 
@@ -383,9 +391,7 @@ def _prepared(corr: CorrSet) -> PreparedF:
     return corr
 
 
-def solve_gep_f_beta(
-    corr: CorrSet, window: tuple[float, float] | None = None
-) -> list[SolverCandidate]:
+def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """Fundamental matrix + time shift from 9 correspondences via a 6x6 GEP.
 
     ``corr`` is 9 rows, or one sample of ``prepare_f_draws``, whose
@@ -429,9 +435,7 @@ _MINOR5_COLS = np.array([[c for c in range(6) if c != k] for k in range(6)])
 _MINOR5_SIGNS = np.array([(-1.0) ** k for k in range(6)])
 
 
-def solve_min_f_beta(
-    corr: CorrSet, window: tuple[float, float] | None = None
-) -> list[SolverCandidate]:
+def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """Minimal fundamental matrix + time shift from 8 correspondences.
 
     ``corr`` is 8 rows, or one sample of ``prepare_f_draws``, whose
@@ -482,13 +486,15 @@ def solve_min_f_beta(
 # minimal homography solver, 5 correspondences
 
 
-def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
+def solve_min_h_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """Homography + time shift from 5 correspondences (4.5-sample problem).
 
     Uses both independent rows of the skew-symmetric constraint for the first
     four samples and the first row for the fifth. The 3-dimensional nullspace
     of the 9x12 system is reduced, via the three monomial dependencies, to a
-    3x3 eigenvalue problem with up to three real solutions.
+    3x3 eigenvalue problem with up to three real solutions. Every real root
+    gets its model, so ``NoRealSolution`` is raised only when none gives one;
+    then the candidates are filtered to ``window = (lo, hi)``.
     """
     if len(corr) != 5:
         raise ValueError(f"solve_min_h_beta needs 5 correspondences, got {len(corr)}")
@@ -523,15 +529,17 @@ def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
     candidates = _candidates(_to_pixels(HOMOGRAPHY, t1, t2), found)
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
-    return candidates
+    return _in_window(candidates, window)
 
 
 # ---------------------------------------------------------------------------
 # classical baselines (no time shift; anchors used as camera-2 points)
 
 
-def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
-    """Classical seven-point fundamental matrix on the anchor correspondences."""
+def solve_7pt_f(corr: CorrSet, window=None) -> list[SolverCandidate]:
+    """Classical seven-point fundamental matrix on the anchor correspondences:
+    one candidate per real root of the cubic, with beta = 0, as for the anchors
+    ``u``. Like h-min, it raises before it filters to ``window``."""
     if len(corr) != 7:
         raise ValueError(f"solve_7pt_f needs 7 correspondences, got {len(corr)}")
     ncorr, t1, t2 = _normalize_corr(corr)
@@ -549,16 +557,11 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
     if len(poly) < 2:
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.polynomial.polyroots(poly)
-    to_pixels = _to_pixels(FUNDAMENTAL, t1, t2)
-    models = []
-    for x, _ in _split_real(roots):
-        try:
-            models.append(to_pixels(x * f1 + (1 - x) * f2))
-        except ValueError:
-            continue
-    if not models:
+    found = [(0.0, x * f1 + (1 - x) * f2) for x, _ in _split_real(roots)]
+    candidates = _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
+    if not candidates:
         raise NoRealSolution("no real root of the cubic")
-    return models
+    return _in_window(candidates, window)
 
 
 def _collinear_triple(points: np.ndarray) -> bool:
@@ -577,15 +580,17 @@ def _collinear_triple(points: np.ndarray) -> bool:
     return False
 
 
-def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
-    """Classical DLT homography from 4 anchor correspondences."""
+def solve_4pt_h(corr: CorrSet, window=None) -> list[SolverCandidate]:
+    """Classical DLT homography from 4 anchor correspondences: one candidate,
+    with beta = 0, or none for a ``window`` that leaves out 0."""
     if len(corr) != 4:
         raise ValueError(f"solve_4pt_h needs 4 correspondences, got {len(corr)}")
     if _collinear_triple(corr.s1[:, :2]) or _collinear_triple(corr.u[:, :2]):
         raise DegenerateInput("three collinear points in a 4-point homography sample")
     ncorr, t1, t2 = _normalize_corr(corr)
     _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
-    return _to_pixels(HOMOGRAPHY, t1, t2)(vt[-1].reshape(3, 3))
+    found = [(0.0, vt[-1].reshape(3, 3))]
+    return _in_window(_candidates(_to_pixels(HOMOGRAPHY, t1, t2), found), window)
 
 
 # ---------------------------------------------------------------------------

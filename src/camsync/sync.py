@@ -43,7 +43,8 @@ class IterParams:
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self):
-        solver_kind(self.kind)
+        if not solver_kind(self.kind).estimates_beta:  # the loop steps by the shift
+            raise ValueError(f"solver kind {self.kind!r} does not estimate the shift")
         if self.k_max < 2:  # the loop takes at most k_max - 1 steps
             raise ValueError("k_max must be >= 2")
         if not (0 <= self.p_min <= self.p_max):

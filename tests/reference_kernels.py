@@ -252,7 +252,13 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     return candidates
 
 
-def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
+def in_window(candidates, window):
+    if window is None:
+        return candidates
+    return [c for c in candidates if window[0] <= c.beta <= window[1]]
+
+
+def solve_min_h_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 5:
         raise ValueError(f"solve_min_h_beta needs 5 correspondences, got {len(corr)}")
     ncorr, t1, t2 = normalize_corr(corr)
@@ -286,10 +292,10 @@ def solve_min_h_beta(corr: CorrSet) -> list[SolverCandidate]:
         candidates.append(SolverCandidate(beta=beta, model=model))
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
-    return candidates
+    return in_window(candidates, window)
 
 
-def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
+def solve_7pt_f(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 7:
         raise ValueError(f"solve_7pt_f needs 7 correspondences, got {len(corr)}")
     ncorr, t1, t2 = normalize_corr(corr)
@@ -306,19 +312,20 @@ def solve_7pt_f(corr: CorrSet) -> list[TwoViewModel]:
     if len(poly) < 2:
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.polynomial.polyroots(poly)
-    models = []
+    candidates = []
     for x, _ in split_real(roots):
         fmat = t2.T @ (x * f1 + (1 - x) * f2) @ t1
         try:
-            models.append(normalized_model(FUNDAMENTAL, fmat))
+            model = normalized_model(FUNDAMENTAL, fmat)
         except ValueError:
             continue
-    if not models:
+        candidates.append(SolverCandidate(beta=0.0, model=model))
+    if not candidates:
         raise NoRealSolution("no real root of the cubic")
-    return models
+    return in_window(candidates, window)
 
 
-def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
+def solve_4pt_h(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 4:
         raise ValueError(f"solve_4pt_h needs 4 correspondences, got {len(corr)}")
     if _collinear_triple(corr.s1[:, :2]) or _collinear_triple(corr.u[:, :2]):
@@ -326,7 +333,8 @@ def solve_4pt_h(corr: CorrSet) -> TwoViewModel:
     ncorr, t1, t2 = normalize_corr(corr)
     _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
     hmat = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
-    return normalized_model(HOMOGRAPHY, hmat)
+    model = normalized_model(HOMOGRAPHY, hmat)
+    return in_window([SolverCandidate(beta=0.0, model=model)], window)
 
 
 def fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:

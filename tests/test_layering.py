@@ -1,8 +1,8 @@
 """Module layering: no camsync module imports another one's private names,
 none imports a name it never reads, every private top-level name is read by
 some camsync module, every public top-level function or class is read by one
-or exported by the package, and importing camsync leaves out
-scipy.interpolate."""
+or exported by the package, every solver kind names a solver that
+camsync.robust binds, and importing camsync leaves out scipy.interpolate."""
 
 import ast
 import os
@@ -230,6 +230,16 @@ def test_dead_public_name_guard_sees_every_definition():
         ),
     }
     assert dead_names(sources, public=True) == ["a.py:8: unread", "a.py:10: Unread"]
+
+
+def test_every_solver_kind_names_a_solver_bound_in_robust():
+    # ransac_estimate looks each kind's solver up by this name when it runs,
+    # so a typo in the table would fail only at the first draw
+    from camsync import robust, solvers
+
+    for kind, spec in robust.SOLVER_KINDS.items():
+        assert callable(getattr(robust, spec.solver, None)), (kind, spec.solver)
+        assert getattr(robust, spec.solver) is getattr(solvers, spec.solver), kind
 
 
 def test_import_leaves_out_scipy_interpolate():

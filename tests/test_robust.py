@@ -319,14 +319,15 @@ class TestRansacEstimate:
         # w = 1: the stop rule's clamp of w**m below 1 asks for one valid draw
         t1, t2, _ = exact_scene(seed=1, exact_model=exact_model)
         valid = []
-        generate = robust._generate
+        name = SOLVER_KINDS[kind].solver
+        solve = getattr(robust, name)
 
         def counted(*args):
-            cands = generate(*args)  # raises on a draw that does not count
+            cands = solve(*args)  # raises on a draw that does not count
             valid.append(len(cands))
             return cands
 
-        monkeypatch.setattr(robust, "_generate", counted)
+        monkeypatch.setattr(robust, name, counted)
         res = ransac_estimate(t1, t2, kind, RansacParams(seed=seed, threshold=1.0, d=1))
         assert len(valid) == 1
         assert res.iterations_run == draws
@@ -570,6 +571,33 @@ class TestCandidateOrder:
             monkeypatch.setattr(robust, name, reversed_solver(getattr(robust, name)))
         assert result_bytes(ransac_estimate(t1, t2, kind, params)) == want
         assert any(reordered)
+
+
+class TestSolverBinding:
+    """RANSAC looks each kind's solver up by its ``SolverKind.solver`` name in
+    ``camsync.robust`` when it runs, so a rebinding there sees every draw."""
+
+    @pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+    def test_rebound_solver_sees_every_draw(self, monkeypatch, kind):
+        motion = PLANAR_SMOOTH if kind in (KIND_H_MIN, KIND_H_4PT) else "smooth-random"
+        t1, t2, _ = generate_scene(SceneSpec(
+            seed=1, beta_gt=3.0, noise_sigma=0.5, n_tracks=4, n_frames=120,
+            waypoint_spacing=120.0, motion=motion,
+        ))
+        (t1, t2), _ = inject_outliers(t1, t2, 0.3, seed=778)
+        params = RansacParams(seed=1, threshold=3.0, max_iterations=80, d=4)
+        name = SOLVER_KINDS[kind].solver
+        solve = getattr(robust, name)
+        windows = []
+
+        def counted(sub, window):
+            windows.append(window)
+            return solve(sub, window)
+
+        monkeypatch.setattr(robust, name, counted)
+        res = ransac_estimate(t1, t2, kind, params)
+        assert len(windows) == res.iterations_run > 1
+        assert set(windows) == {params.window}
 
 
 class TestDrawBlocks:

@@ -24,8 +24,8 @@ from camsync import (
     solve_min_h_beta,
 )
 from camsync.geometry import FUNDAMENTAL, HOMOGRAPHY
-from camsync.robust import build_correspondences
-from camsync import solvers
+from camsync.robust import SOLVER_KINDS, build_correspondences
+from camsync import robust, solvers
 from camsync.solvers import (
     CorrSet,
     _ggev,
@@ -250,6 +250,58 @@ def candidate_bytes(cands):
         (np.float64(c.beta).tobytes(), c.model.m.tobytes())
         for c in cands
     ]
+
+
+def solved(solve, corr, window):
+    """The solver's candidates, or the DegenerateInput or NoRealSolution it raised."""
+    try:
+        return solve(corr, window)
+    except (DegenerateInput, NoRealSolution) as exc:
+        return exc
+
+
+class TestSolverContract:
+    """Every kind's solver, looked up as RANSAC looks it up, takes a window
+    and returns only the candidates inside it."""
+
+    @pytest.mark.parametrize("kind", sorted(SOLVER_KINDS))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000), beta_gt=st.one_of(st.just(0.0), st.floats(-6, 6)),
+        d=st.sampled_from([1, 2, 4]),
+        # reach below and above beta_gt; (0, 0) is the zero-width window
+        reach=st.one_of(st.none(), st.just((0.0, 0.0)),
+                        st.tuples(st.floats(0, 20), st.floats(0, 20))),
+        coincident=st.booleans(),
+    )
+    def test_returns_only_in_window_candidates(
+        self, kind, seed, beta_gt, d, reach, coincident
+    ):
+        spec = SOLVER_KINDS[kind]
+        solve = getattr(robust, spec.solver)
+        exact_model = "F" if spec.geometry == FUNDAMENTAL else "H"
+        corr, _ = exact_corr(seed=seed, beta_gt=beta_gt, d=d, n_pick=spec.sample_size,
+                             n_tracks=3 if exact_model == "F" else 5,
+                             exact_model=exact_model)
+        if coincident:  # every camera-1 point the same: each kind raises DegenerateInput
+            corr = CorrSet(np.repeat(corr.s1[:1], len(corr), axis=0), corr.u, corr.v)
+        window = None if reach is None else (beta_gt - reach[0], beta_gt + reach[1])
+        lo, hi = (-math.inf, math.inf) if window is None else window
+        got = solved(solve, corr, window)
+        if kind != "f-min":  # f-min samples det F(beta) on the window it is given
+            full = solved(solve, corr, None)
+            if isinstance(full, Exception) or isinstance(got, Exception):
+                assert (type(got), str(got)) == (type(full), str(full))
+                return
+            inside = [c for c in full if lo <= c.beta <= hi]
+            assert candidate_bytes(got) == candidate_bytes(inside)
+        elif isinstance(got, Exception):
+            return
+        for cand in got:
+            assert isinstance(cand, solvers.SolverCandidate)
+            assert lo <= cand.beta <= hi
+            if not spec.estimates_beta:
+                assert repr(cand.beta) == "0.0"
 
 
 def pencil(seed, case):
@@ -780,7 +832,7 @@ class TestMinHBeta:
 class TestSevenPointF:
     def test_synchronized_exact_data(self):
         corr, gt = exact_corr(seed=30, beta_gt=0.0, d=1, n_pick=7)
-        models = solve_7pt_f(corr)
+        models = [c.model for c in solve_7pt_f(corr)]
         best = min(models, key=lambda m: model_distance(m, gt.f))
         assert model_distance(best, gt.f) < 1e-6
 
@@ -793,12 +845,13 @@ class TestSevenPointF:
                 v=np.zeros((7, 3)),
             )
             try:
-                models = solve_7pt_f(corr)
+                cands = solve_7pt_f(corr)
             except DegenerateInput:
                 continue
-            assert len(models) in (1, 3)
-            for m in models:
-                assert abs(np.linalg.det(m.m)) < 1e-8
+            assert len(cands) in (1, 3)
+            for c in cands:
+                assert c.beta == 0.0
+                assert abs(np.linalg.det(c.model.m)) < 1e-8
 
 
 class TestFourPointH:
@@ -809,8 +862,9 @@ class TestFourPointH:
             u=np.column_stack([pts, np.ones(4)]),
             v=np.zeros((4, 3)),
         )
-        h = solve_4pt_h(corr)
-        assert model_distance(h, TwoViewModel.normalized(HOMOGRAPHY, np.eye(3))) < 1e-10
+        [h] = solve_4pt_h(corr)
+        assert h.beta == 0.0
+        assert model_distance(h.model, TwoViewModel.normalized(HOMOGRAPHY, np.eye(3))) < 1e-10
 
     def test_unit_square_to_quadrilateral_oracle(self):
         src = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -829,8 +883,8 @@ class TestFourPointH:
             u=np.column_stack([dst, np.ones(4)]),
             v=np.zeros((4, 3)),
         )
-        h = solve_4pt_h(corr)
-        assert model_distance(h, TwoViewModel.normalized(HOMOGRAPHY, h_ref)) < 1e-9
+        [h] = solve_4pt_h(corr)
+        assert model_distance(h.model, TwoViewModel.normalized(HOMOGRAPHY, h_ref)) < 1e-9
 
     def test_collinear_points_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
@@ -846,8 +900,8 @@ class TestFourPointH:
         corr, gt = exact_corr(
             seed=32, beta_gt=0.0, d=1, n_pick=4, n_tracks=4, exact_model="H"
         )
-        h = solve_4pt_h(corr)
-        assert model_distance(h, gt.h) < 1e-8
+        [h] = solve_4pt_h(corr)
+        assert model_distance(h.model, gt.h) < 1e-8
 
 
 class TestBacksubstitution:

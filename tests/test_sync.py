@@ -13,7 +13,7 @@ from camsync import (
     generate_scene,
     iterative_sync,
 )
-from camsync.robust import KIND_F_GEP, KIND_H_MIN
+from camsync.robust import KIND_F_7PT, KIND_F_GEP, KIND_H_4PT, KIND_H_MIN
 from camsync.sync import SyncRun, _round_half_away
 
 
@@ -59,6 +59,13 @@ class TestIterParams:
             IterParams(kind=KIND_F_GEP, p_min=3, p_max=1)
         with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
             IterParams(kind="bogus")
+
+    @pytest.mark.parametrize("kind", [KIND_F_7PT, KIND_H_4PT])
+    def test_kind_that_holds_the_shift_is_rejected(self, kind):
+        # the loop steps by the estimated shift; a baseline's is always 0, so
+        # it would never move yet report a shift
+        with pytest.raises(ValueError, match=f"solver kind '{kind}' does not estimate"):
+            IterParams(kind=kind)
 
 
 class TestIterativeSync:
