@@ -255,22 +255,32 @@ SWEEP_DEFAULTS = {
 }
 
 
-def _config_list(config: dict, key: str, kinds: tuple) -> list:
-    """``config[key]``, a list whose items are all of ``kinds`` (bools excluded)."""
+# the JSON type of each setting type: a float setting takes any number, an
+# integer too, and no setting takes a bool
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+
+
+def _is_json(value, kind: type) -> bool:
+    kinds = (int, float) if kind is float else kind
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _config_list(config: dict, key: str, kind: type) -> list:
+    """``config[key]``, a list whose items are all JSON values of ``kind``."""
     value = config.get(key, SWEEP_DEFAULTS[key])
-    if not isinstance(value, list) or not all(
-        isinstance(x, kinds) and not isinstance(x, bool) for x in value
-    ):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"sweep config {key!r} must be a list of {names}")
+    if not isinstance(value, list) or not all(_is_json(x, kind) for x in value):
+        raise ValueError(f"sweep config {key!r} must be a list of JSON {_JSON_TYPES[kind]}s")
     return value
 
 
-def _config_value(config: dict, key: str, convert):
-    """``convert(config[key])``; a value it rejects is a ValueError naming the key."""
+def _config_value(config: dict, key: str, kind: type):
+    """``config[key]``, a JSON value of ``kind``, as ``kind``."""
+    value = config.get(key, SWEEP_DEFAULTS[key])
+    if not _is_json(value, kind):
+        raise ValueError(f"sweep config {key!r} must be a JSON {_JSON_TYPES[kind]}")
     try:
-        return convert(config.get(key, SWEEP_DEFAULTS[key]))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return kind(value)
+    except OverflowError as exc:  # float() of a huge integer
         raise ValueError(f"sweep config {key!r}: {exc}") from None
 
 
@@ -278,9 +288,9 @@ def run_sweep(config: dict) -> list[dict]:
     """Execute the experiment grid; returns one row dict per cell.
 
     A malformed config (not an object, a key not in ``SWEEP_DEFAULTS``, a
-    list setting that is not a list of the right items, a value its setting
-    cannot convert, or RANSAC, loop or scene settings, ``ds`` entries included,
-    that their classes reject) raises ValueError before any scene is generated.
+    setting or a list item that is not a JSON value of its type, or RANSAC,
+    loop or scene settings, ``ds`` entries included, that their classes
+    reject) raises ValueError before any scene is generated.
     A scene the generator cannot make raises its ``CamsyncError``.
     """
     if not isinstance(config, dict):
@@ -288,11 +298,11 @@ def run_sweep(config: dict) -> list[dict]:
     for key in config:
         if key not in SWEEP_DEFAULTS:
             raise ValueError(f"sweep config: unknown key {key!r}")
-    betas = _config_list(config, "betas", (int, float))
-    ds = _config_list(config, "ds", (int,))
-    noises = _config_list(config, "noise", (int, float))
+    betas = _config_list(config, "betas", float)
+    ds = _config_list(config, "ds", int)
+    noises = _config_list(config, "noise", float)
     n_scenes = _config_value(config, "scenes", int)
-    algorithms = _config_list(config, "algorithms", (str,))
+    algorithms = _config_list(config, "algorithms", str)
     if not betas or n_scenes < 1 or not algorithms or not (ds or all(
         a in ITER_KINDS for a in algorithms
     )):
@@ -304,7 +314,7 @@ def run_sweep(config: dict) -> list[dict]:
         if a not in SOLVER_KINDS and a not in ITER_KINDS:
             raise ValueError(f"unknown algorithm {a!r}")
     master = _config_value(config, "seed", int)
-    motion = config.get("motion", SWEEP_DEFAULTS["motion"])
+    motion = _config_value(config, "motion", str)
     rho = _config_value(config, "rho", float)
     n_frames = _config_value(config, "n_frames", int)
     n_tracks = _config_value(config, "n_tracks", int)

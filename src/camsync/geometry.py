@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -189,62 +188,38 @@ class TwoViewModel:
         return TwoViewModel.normalized(self.kind, u @ np.diag(s) @ vt)
 
 
-class Points(NamedTuple):
-    """(n, 3) homogeneous image points as the residual kernels read them.
-
-    The kernels' matrix products read ``xyw``; their per-row arithmetic reads
-    the columns ``x``, ``y`` and ``w``, each contiguous. ``w`` is None when
-    every third coordinate is exactly 1: a product by it changes no bits, so
-    the kernels skip it.
-    """
-
-    xyw: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray | None
-
-    @classmethod
-    def of(cls, xyw: np.ndarray) -> "Points":
-        """``xyw`` with its columns copied out once."""
-        xyw = np.asarray(xyw, dtype=float)
-        x, y, w = np.ascontiguousarray(xyw.T)
-        return cls(xyw, x, y, None if (w == 1).all() else w)
-
-
-def sampson(f: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
-    """First-order Sampson distance of x2^T F x1 = 0, vectorized over rows.
+def sampson(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """First-order Sampson distance of x2^T F x1 = 0 over (n, 3) rows [x, y, 1].
 
     Returns 0 where the residual is zero and +inf where the constraint
     gradient vanishes (or is NaN) with a nonzero residual.
 
     The residual adds the nine products (x2_j F_jk) x1_k of a row one after
     another, j-major, as ``np.einsum("ij,jk,ik->i", x2, f, x1)`` does, one
-    array addition per product. (``np.add.reduce`` over the nine would add
-    them pairwise when there is a single row.) The two differ only in the sign
-    of an exact zero, which the distance does not show.
+    array addition per product, leaving out the products by the implied 1s.
+    (``np.add.reduce`` over the nine would add them pairwise when there is a
+    single row.) The two differ only in the sign of an exact zero, which the
+    distance does not show.
     """
     fl = f.tolist()
     e = term = None
-    for j, a in enumerate((p2.x, p2.y, p2.w)):
-        for k, b in enumerate((p1.x, p1.y, p1.w)):
+    for j, a in enumerate((x2[:, 0], x2[:, 1], None)):  # None: the implied 1
+        for k, b in enumerate((x1[:, 0], x1[:, 1], None)):
             if a is None and b is None:
                 e += fl[j][k]
-                continue
-            if a is None:
-                term = np.multiply(b, fl[j][k], out=term)
+            elif e is None:  # j = k = 0
+                e = np.multiply(a, fl[j][k])
+                e *= b
             else:
-                term = np.multiply(a, fl[j][k], out=term)
-                if b is not None:
+                term = np.multiply(b if a is None else a, fl[j][k], out=term)
+                if a is not None and b is not None:
                     term *= b
-            if e is None:  # j = k = 0: both columns are present
-                e, term = term, None
-            else:
                 e += term
     # gemm reads a C-ordered copy of F^T faster than the transposed view, with
     # the same bits; a single row runs gemv, whose bits the copy would change
     ft = np.ascontiguousarray(f.T) if len(e) > 1 else f.T
-    l2 = p1.xyw @ ft  # epipolar lines in image 2
-    l1 = p2.xyw @ f  # epipolar lines in image 1
+    l2 = x1 @ ft  # epipolar lines in image 2
+    l1 = x2 @ f  # epipolar lines in image 1
     g2 = l2[:, 0] ** 2
     g2 += l2[:, 1] ** 2
     g2 += l1[:, 0] ** 2
@@ -255,8 +230,8 @@ def sampson(f: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
     return out
 
 
-def symmetric_transfer(h: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
-    """Symmetric transfer error of x2 ~ H x1, vectorized over rows.
+def symmetric_transfer(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Symmetric transfer error of x2 ~ H x1 over (n, 3) rows [x, y, 1].
 
     Returns +inf where either transfer lands on the plane at infinity
     (|w| <= 1e-14). Each distance is ``sqrt(dx*dx + dy*dy)``, the two-term
@@ -265,24 +240,24 @@ def symmetric_transfer(h: np.ndarray, p1: Points, p2: Points) -> np.ndarray:
     det = np.linalg.det(h)
     if abs(det) < 1e-14:
         raise SingularModel(f"homography is singular (det={det:.3e})")
-    fwd = p1.xyw @ h.T
-    bwd = p2.xyw @ np.linalg.inv(h).T
+    fwd = x1 @ h.T
+    bwd = x2 @ np.linalg.inv(h).T
     # rows mapped to infinity divide by (near) zero; they are set to inf last
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _transfer_distance(fwd, p2)
-        out += _transfer_distance(bwd, p1)
+        out = _transfer_distance(fwd, x2)
+        out += _transfer_distance(bwd, x1)
     out *= 0.5
     out[~((np.abs(fwd[:, 2]) > 1e-14) & (np.abs(bwd[:, 2]) > 1e-14))] = np.inf
     return out
 
 
-def _transfer_distance(mapped: np.ndarray, p: Points) -> np.ndarray:
-    """Distance from each row of ``mapped``, dehomogenized, to ``p``'s point."""
+def _transfer_distance(mapped: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``mapped``, dehomogenized, to ``x``'s point."""
     w = mapped[:, 2]
     dx = mapped[:, 0] / w
-    dx -= p.x if p.w is None else p.x / p.w
+    dx -= x[:, 0]
     dy = mapped[:, 1] / w
-    dy -= p.y if p.w is None else p.y / p.w
+    dy -= x[:, 1]
     dx *= dx
     dy *= dy
     dx += dy

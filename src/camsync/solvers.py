@@ -47,7 +47,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dggev, dtrtrs
 
 from .errors import DegenerateInput, NoRealSolution
-from .geometry import FUNDAMENTAL, HOMOGRAPHY, Points, TwoViewModel
+from .geometry import FUNDAMENTAL, HOMOGRAPHY, TwoViewModel
 
 # eigenvalues with |imag| <= IMAG_TOL * (1 + |real|) are accepted as real
 IMAG_TOL = 1e-6
@@ -66,11 +66,14 @@ class SolverCandidate:
 
 @dataclass
 class CorrSet:
-    """Stacked correspondence arrays: s1 homogeneous, u and v homogeneous.
+    """Stacked correspondence arrays in the form of the secant model.
 
     s1: (n, 3) camera-1 points [x, y, 1]
     u:  (n, 3) camera-2 anchors [x, y, 1]
     v:  (n, 3) camera-2 tangents [vx, vy, 0]
+
+    The solvers assume this form; ``points_at`` checks it when the set is
+    first scored.
     """
 
     s1: np.ndarray
@@ -90,35 +93,32 @@ class CorrSet:
     def take(self, idx) -> "CorrSet":
         return CorrSet(self.s1[idx], self.u[idx], self.v[idx])
 
-    def points_at(self, beta: float) -> tuple[Points, Points]:
-        """The camera-1 points and the prediction ``u + beta * v``, with the
-        bits of that expression, as the residual kernels read them.
+    def points_at(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """The camera-1 points and the prediction ``u + beta * v`` as the
+        residual kernels read them: column-major (n, 3) rows, the
+        prediction's x and y with the bits of that expression.
 
-        The columns of s1, u and v are copied out on the first call and kept
-        with the set, whose arrays must not change after it. When every row
-        of u ends in 1 and of v in 0, a finite ``beta``'s prediction is
-        written into one (n, 3) buffer kept with them, whose third column
-        stays 1: the points one call returns then hold only until the next.
+        s1 and the columns of u and v are copied out on the first call and
+        kept with the set, whose arrays must not change after it; a set not
+        in the form raises ValueError there. The prediction is written into
+        one (n, 3) buffer kept with them, whose third column stays 1: the rows
+        one call returns hold only until the next.
         """
         s1, u, v, pred = self._columns
-        if pred is None or not math.isfinite(beta):
-            return s1, Points.of(self.u + beta * self.v)
-        for col, u_col, v_col in ((pred.x, u[0], v[0]), (pred.y, u[1], v[1])):
+        for col, u_col, v_col in ((pred[:, 0], u[0], v[0]), (pred[:, 1], u[1], v[1])):
             np.multiply(v_col, beta, out=col)
             col += u_col
         return s1, pred
 
     @functools.cached_property
-    def _columns(self) -> tuple[Points, np.ndarray, np.ndarray, Points | None]:
-        """s1 as points, u's and v's columns as rows, and the prediction
-        buffer's points, or None when a prediction's w is not always 1."""
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """s1 column-major, u's and v's columns as rows, the prediction buffer."""
+        s1 = np.asfortranarray(self.s1)
         u = np.ascontiguousarray(self.u.T)
         v = np.ascontiguousarray(self.v.T)
-        pred = None
-        if (u[2] == 1).all() and (v[2] == 0).all():
-            buf = np.ones((len(self), 3), order="F")
-            pred = Points(buf, buf[:, 0], buf[:, 1], None)
-        return Points.of(self.s1), u, v, pred
+        if not ((s1[:, 2] == 1).all() and (u[2] == 1).all() and (v[2] == 0).all()):
+            raise ValueError("rows must be s1, u = [x, y, 1] and v = [vx, vy, 0]")
+        return s1, u, v, np.ones((len(self), 3), order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,11 @@ class SceneSpec:
         # so it is bounded as an integer first
         if self.n_frames > _MAX_FRAMES:
             raise ValueError(f"n_frames must be <= {_MAX_FRAMES}")
-        if self.motion == EXACT_LINEAR:
-            n2 = self.rho * (self.n_frames - 1) + max(self.beta_gt, 0.0) + 41.0
-            sizes = [("camera-2 frame count", n2, _MAX_FRAMES)]
-        else:
+        n2 = _camera2_frames(self)
+        sizes = [("camera-2 frame count", n2, _MAX_FRAMES)]
+        if self.motion != EXACT_LINEAR:
             t_lo, t_hi = _path_window(self)
-            n2 = _camera2_frames(self)
-            sizes = [
-                ("camera-2 frame count", n2, _MAX_FRAMES),
+            sizes += [
                 ("spline path span", t_hi - t_lo, _MAX_FRAMES),
                 ("waypoint count", (t_hi - t_lo) / self.waypoint_spacing + 2.0, _MAX_WAYPOINTS),
             ]
@@ -219,8 +216,12 @@ def _path_window(spec: SceneSpec) -> tuple[float, float]:
 
 
 def _camera2_frames(spec: SceneSpec) -> float:
-    """Camera-2 frame count of a spline scene: frames 0, 1, ... before
-    rho (t_hi - 1) + beta, at least one; inf past the double range."""
+    """Camera-2 frame count, in float arithmetic so that it is inf past the
+    double range: ceil(rho (n - 1) + max(beta, 0)) + 40 for an exact-linear
+    scene; for a spline scene the frames 0, 1, ... before rho (t_hi - 1) +
+    beta, at least one."""
+    if spec.motion == EXACT_LINEAR:
+        return float(np.ceil(spec.rho * (spec.n_frames - 1) + max(spec.beta_gt, 0.0))) + 40.0
     return max(float(np.floor(spec.rho * (_path_window(spec)[1] - 1.0) + spec.beta_gt)), 1.0)
 
 
@@ -317,8 +318,7 @@ def _exact_linear_family(spec: SceneSpec, gt: GroundTruth):
     image_wh = np.array(_IMAGE_SIZE, dtype=float)
     center_px = image_wh / 2.0
     frames1 = np.arange(spec.n_frames, dtype=float)
-    n2 = int(math.ceil(rho * (spec.n_frames - 1) + max(beta, 0.0))) + 40
-    frames2 = np.arange(n2, dtype=float)
+    frames2 = np.arange(_camera2_frames(spec))
     hinv = None if gt.h is None else np.linalg.inv(gt.h.m)
 
     def track(rng: np.random.Generator):

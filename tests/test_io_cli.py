@@ -648,6 +648,43 @@ class TestCliSweep:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: sweep config: {message}\n"
 
+    @pytest.mark.parametrize(
+        "setting, value, json_type",
+        [
+            ("scenes", 1.9, "integer"),
+            ("scenes", True, "integer"),
+            ("max_iterations", 30.7, "integer"),
+            ("seed", 2.5, "integer"),
+            ("n_frames", "40", "integer"),
+            ("threshold", "2", "number"),
+            ("threshold", True, "number"),
+            ("rho", None, "number"),
+            ("motion", 5, "string"),
+        ],
+    )
+    def test_setting_of_the_wrong_json_type_is_reported_before_any_scene(
+        self, tmp_path, capsys, monkeypatch, setting, value, json_type
+    ):
+        # neither truncated nor converted: an integer setting takes a JSON
+        # integer, a float setting a JSON number, and neither a bool
+        def no_scene(spec):
+            raise AssertionError("a scene was generated before the config was checked")
+
+        monkeypatch.setattr(camsync.cli, "generate_scene", no_scene)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._config(**{setting: value})))
+        out = tmp_path / "rows.csv"
+        rc = main(["sweep", str(cfg), "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: sweep config {setting!r} must be a JSON {json_type}\n"
+        )
+        assert not out.exists()
+
+    def test_integer_is_a_number(self):
+        cfg = self._config(betas=[1.0])
+        assert run_sweep({**cfg, "threshold": 1, "rho": 1}) == run_sweep(cfg)
+
     def test_too_few_camera2_frames_is_reported_before_any_scene(self, monkeypatch):
         def no_scene(spec):
             raise AssertionError("a scene was generated before the config was checked")

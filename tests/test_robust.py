@@ -231,21 +231,16 @@ class TestScoreCandidate:
         seed=st.integers(0, 2**32 - 1),
         n=st.one_of(st.just(1), st.integers(2, 3000)),
         kind=st.sampled_from([KIND_F_GEP, KIND_H_MIN]),
-        homogeneous=st.sampled_from(["unit", "u", "v", "s1"]),
         betas=st.lists(st.one_of(st.floats(-50, 50), st.sampled_from([np.inf, -np.inf, np.nan])),
                        min_size=1, max_size=6),
     )
-    def test_bit_identical_to_plain_form_call_after_call(
-        self, seed, n, kind, homogeneous, betas
-    ):
+    def test_bit_identical_to_plain_form_call_after_call(self, seed, n, kind, betas):
         # one set scored at several shifts: the prediction buffer it keeps
-        # carries nothing from one call to the next, and a u not ending in 1,
-        # a v not ending in 0 or a non-finite shift gives the plain bits too
+        # carries nothing from one call to the next, and a non-finite shift
+        # gives the plain mask and sum too
         rng = np.random.default_rng(seed)
         s1, u = (np.column_stack([rng.uniform(0, 1000, (n, 2)), np.ones(n)]) for _ in range(2))
         v = np.column_stack([rng.normal(size=(n, 2)) * 4.0, np.zeros(n)])
-        if homogeneous != "unit":
-            {"u": u, "v": v, "s1": s1}[homogeneous][:, 2] += rng.uniform(0.1, 0.5, n)
         corr = CorrSet(s1, u, v)
         m = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
         m[2, :2] *= 1e-3
@@ -256,11 +251,28 @@ class TestScoreCandidate:
             with np.errstate(all="ignore"):  # both warn on a shift of NaN or inf
                 want_mask, want_res = reference_kernels.score_candidate(kind, cand, corr, 20.0)
                 got_mask, got_res = score_candidate(kind, cand, corr, 20.0)
-                want_pred = corr.u + beta * corr.v
-                got_pred = corr.points_at(beta)[1].xyw
+                want_pred = (corr.u + beta * corr.v)[:, :2]
+                got_pred = corr.points_at(beta)[1][:, :2]
             assert got_pred.tobytes() == want_pred.tobytes()
             assert got_mask.tobytes() == want_mask.tobytes()
             assert np.float64(got_res).tobytes() == np.float64(want_res).tobytes()
+
+
+    @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_H_MIN])
+    @pytest.mark.parametrize("row, value", [("s1", 2.0), ("u", 0.5), ("v", 1e-9)])
+    def test_set_outside_the_form_is_rejected(self, kind, row, value):
+        # s1 and u rows are [x, y, 1] and v rows [vx, vy, 0]; the kernels
+        # read nothing else
+        t1, t2, gt = exact_scene(exact_model="F" if kind == KIND_F_GEP else "H")
+        corr, _ = build_correspondences(t1, t2, 0.0, 1.0, 1)
+        cand = SolverCandidate(beta=2.0, model=gt.f if kind == KIND_F_GEP else gt.h)
+        assert score_candidate(kind, cand, corr, 1.0)[0].all()
+        arrays = {"s1": corr.s1.copy(), "u": corr.u.copy(), "v": corr.v.copy()}
+        arrays[row][-1, 2] = value
+        bad = CorrSet(**arrays)
+        for _ in range(2):  # the check is not cached away
+            with pytest.raises(ValueError, match=r"\[x, y, 1\]"):
+                score_candidate(kind, cand, bad, 1.0)
 
 
 class TestRansacParams:

@@ -80,6 +80,16 @@ class TestSceneSpec:
         SceneSpec(waypoint_spacing=1.8e-3)  # 99,446 waypoints
         SceneSpec(beta_gt=-9e4, waypoint_spacing=float("inf"))
 
+    def test_exact_linear_cap_counts_the_frames_made(self):
+        # ceil(199,959.5) + 40 = 200,000 camera-2 frames, the cap itself
+        SceneSpec(motion="exact-linear", n_frames=199_960, beta_gt=0.5)
+        with pytest.raises(ValueError, match=r"^camera-2 frame count 2e\+05 exceeds 200000$"):
+            SceneSpec(motion="exact-linear", n_frames=199_961, beta_gt=0.5)
+        for beta, rho in ((0.5, 1.0), (-3.0, 1.0), (2.25, 0.7)):
+            spec = SceneSpec(motion="exact-linear", n_frames=30, beta_gt=beta, rho=rho)
+            _, t2, _ = generate_scene(spec)
+            assert [len(t) for t in t2] == [synth._camera2_frames(spec)] * 2
+
     @pytest.mark.parametrize("rho, frames", [(1e-12, 1), (0.01, 1), (0.05, 6), (0.0725, 10)])
     def test_camera2_frame_floor(self, rho, frames):
         # 100 camera-1 frames and beta = 0: camera 2 has floor(rho * 138)
