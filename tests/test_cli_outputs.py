@@ -1,15 +1,12 @@
-"""tools/cli_outputs.py: two recordings of one tree hold the same bytes."""
+"""tools/record_outputs.py, command line: two recordings of one tree hold the same bytes."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "cli_outputs.py"
-SPEC = importlib.util.spec_from_file_location("cli_outputs", TOOL)
-cli_outputs = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(cli_outputs)
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "record_outputs.py"
+SPEC = importlib.util.spec_from_file_location("record_outputs", TOOL)
+record_outputs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(record_outputs)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -17,12 +14,9 @@ def tree_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_two_runs_on_the_working_tree_give_identical_bytes(tmp_path):
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        subprocess.run([sys.executable, str(TOOL), "--tree", str(ROOT), "--out", str(out)],
-                       check=True, timeout=120)
-    names = [name for name, _ in cli_outputs.CALLS]
+def test_two_runs_on_the_working_tree_give_identical_bytes(quick_recordings):
+    outs = [out / "cli" for out in quick_recordings]
+    names = [name for name, _ in record_outputs.CALLS]
     assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
     assert tree_bytes(outs[0]) == tree_bytes(outs[1])
     # every call but the d = 0 usage check ran to a result

@@ -1,19 +1,9 @@
-"""tools/lib_outputs.py: two quick recordings of one tree hold the same bytes."""
-
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "lib_outputs.py"
+"""tools/record_outputs.py, library: two quick recordings of one tree hold the same bytes."""
 
 
-def test_two_quick_runs_on_the_working_tree_give_identical_bytes(tmp_path):
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
-        subprocess.run([sys.executable, str(TOOL), "--tree", str(ROOT), "--out", str(out),
-                        "--quick"], check=True, timeout=120)
-    files = [{p.name: p.read_bytes() for p in (out / "lib").iterdir()} for out in outs]
+def test_two_quick_runs_on_the_working_tree_give_identical_bytes(quick_recordings):
+    files = [{p.name: p.read_bytes() for p in (out / "lib").iterdir()}
+             for out in quick_recordings]
     assert files[0] == files[1]
     assert sorted(files[0]) == [
         "cli-ingest-h-s00-a", "cli-ingest-h-s00-b", "iter-f-long-s00",
