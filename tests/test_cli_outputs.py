@@ -24,4 +24,9 @@ def test_two_runs_on_the_working_tree_give_identical_bytes(quick_recordings):
         code = (outs[0] / name / "exit").read_text()
         assert code == ("1\n" if name == "sync-d0" else "0\n"), (name, code)
     assert (outs[0] / "sync-d0" / "stderr").read_text() == "error: d must be nonzero\n"
+    # the same scene with quoted ids and CRLF line ends, read by the csv path
+    quoted = outs[0] / "sync-f-d1-quoted"
+    assert (quoted / "scene.csv").read_bytes().startswith(
+        b"camera_id,track_id,frame,u,v\r\n\"cam1\",\"t0\",0,")
+    assert (quoted / "stdout").read_bytes() == (outs[0] / "sync-f-d1" / "stdout").read_bytes()
     assert (outs[0] / "sweep" / "rows.csv").read_text().count("\n") == 1 + 24

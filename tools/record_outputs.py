@@ -8,9 +8,12 @@ writes two directories under OUTDIR:
 - ``cli/<call>/``: the fixed list ``CALLS`` of ``camsync`` command lines, run
   in order through ``camsync.cli.main``, each in its own directory, which
   ends up holding the files the call wrote, its ``stdout`` and ``stderr`` and
-  its ``exit`` code. The sync calls read the scenes the synth calls wrote, and
-  the sweep reads a config written beforehand. The scenes are tiny, so the
-  list takes a few seconds.
+  its ``exit`` code. The sync calls read the scenes the synth calls wrote.
+  Two calls read an input written into their directory beforehand: the sweep
+  its config, and ``sync-f-d1-quoted`` a copy of the smooth scene with quoted
+  ids and CRLF line ends, which the reader's ``csv`` path parses, so its
+  stdout must equal ``sync-f-d1``'s. The scenes are tiny, so the list takes
+  a few seconds.
 - ``lib/<op>``: the benchmark's library operations on every scene of its
   banks (``perfbench/workloads.BANKS``, taken from this file's checkout so
   that both trees run the same list), one text file per operation:
@@ -82,6 +85,7 @@ CALLS = [
          ["sync", SMOOTH, *SHOT, f"--d={d}", *(["--fps", "29.97"] if fps else [])])
         for d in (1, 2, -2) for fps in (False, True)
     ],
+    ("sync-f-d1-quoted", ["sync", "scene.csv", *SHOT, "--d=1"]),
     ("sync-f-exact", ["sync", "../synth-exact-f/scene.csv", *SHOT, "--out", "report.json"]),
     ("sync-h-exact", ["sync", EXACT_H, "--model", "H", *SHOT]),
     ("sync-h-planar", ["sync", PLANAR, "--model", "H", *SHOT, "--d", "2"]),
@@ -98,6 +102,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _quoted_crlf(text: str) -> str:
+    """A trajectory CSV with each row's two ids quoted and CRLF line ends."""
+    header, *rows = text.splitlines()
+    quoted = (f'"{cam}","{track}",{rest}' for cam, track, rest in (r.split(",", 2) for r in rows))
+    return "".join(line + "\r\n" for line in (header, *quoted))
+
+
 def record_cli(out: str) -> None:
     """Run every call of ``CALLS`` under ``out``."""
     from camsync import cli
@@ -108,6 +119,9 @@ def record_cli(out: str) -> None:
         os.makedirs(cwd)
         if name == "sweep":
             _write(os.path.join(cwd, "config.json"), json.dumps(SWEEP_CONFIG))
+        elif name == "sync-f-d1-quoted":
+            with open(os.path.join(out, "synth-smooth", "scene.csv"), encoding="utf-8") as fh:
+                _write(os.path.join(cwd, "scene.csv"), _quoted_crlf(fh.read()))
         stdout, stderr = io.StringIO(), io.StringIO()
         os.chdir(cwd)
         try:
