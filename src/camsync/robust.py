@@ -10,6 +10,7 @@ so results are deterministic and independent of evaluation order.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -89,6 +90,14 @@ def solver_kind(kind: str) -> SolverKind:
         raise ValueError(f"unknown solver kind {kind!r}") from None
 
 
+def require_integers(params, *names: str) -> None:
+    """ValueError for the first field in ``names`` that is a bool or no integer."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RansacParams:
     threshold: float = 1.0
@@ -100,6 +109,7 @@ class RansacParams:
     beta_max: float | None = None  # window around beta0; default 10 * max(|d|, 1)
 
     def __post_init__(self):
+        require_integers(self, "max_iterations", "seed", "d")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError("threshold must be positive and finite")
         if not (math.isfinite(self.rho) and self.rho > 0):
@@ -270,7 +280,7 @@ def refine_candidate(
     wins ties.
     """
     best, best_mask, best_res = cand, mask, res
-    best_count = int(mask.sum())
+    best_count = int(np.count_nonzero(mask))
     lo, hi = params.window
     spec = solver_kind(kind)
     for _ in range(REFINE_ROUNDS):
@@ -291,7 +301,7 @@ def refine_candidate(
             mask_t, res_t = score_candidate(kind, trial, corr, params.threshold)
         except SingularModel:
             break
-        count_t = int(mask_t.sum())
+        count_t = int(np.count_nonzero(mask_t))
         if count_t < best_count or (count_t == best_count and res_t >= best_res):
             break
         best, best_mask, best_count, best_res = trial, mask_t, count_t, res_t
@@ -325,10 +335,11 @@ def ransac_estimate(
     needed = params.max_iterations
     valid_draws = 0
     iterations = 0
+    window = params.window
     for it, sub in enumerate(_samples(kind, corr, params)):
         iterations = it + 1
         try:
-            cands = solve(sub, params.window)
+            cands = solve(sub, window)
         except (DegenerateInput, NoRealSolution):
             continue
         valid_draws += 1
@@ -337,7 +348,7 @@ def ransac_estimate(
                 mask, res = score_candidate(kind, cand, corr, params.threshold)
             except SingularModel:
                 continue
-            count = int(mask.sum())
+            count = int(np.count_nonzero(mask))
             if count > best_count or (count == best_count and res < best_res):
                 best, best_mask, best_count, best_res = cand, mask, count, res
         if best_count > 0:

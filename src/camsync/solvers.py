@@ -21,9 +21,8 @@ Solvers, each called as ``solve(corr, window=None)``; each returns the
     RANSAC's refinement alternates over a consensus set.
 
 Only this module computes in normalized coordinates: every solver and fit
-conditions both images with isotropic (Hartley-style) normalization, maps its
-matrices back to pixels with ``_to_pixels``, and every solver builds its
-candidates with ``_candidates``.
+conditions both images with isotropic (Hartley-style) normalization, and
+every solver maps its matrices back to pixel-model candidates with ``_candidates``.
 
 The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
 overhead costs more than the arithmetic. So ``prepare_f_draws`` compresses a
@@ -105,9 +104,9 @@ class CorrSet:
         one call returns hold only until the next.
         """
         s1, u, v, pred = self._columns
-        for col, u_col, v_col in ((pred[:, 0], u[0], v[0]), (pred[:, 1], u[1], v[1])):
-            np.multiply(v_col, beta, out=col)
-            col += u_col
+        xy = pred.T[:2]  # the buffer's x and y columns, a C-contiguous view
+        np.multiply(v[:2], beta, out=xy)
+        xy += u[:2]
         return s1, pred
 
     @functools.cached_property
@@ -187,18 +186,18 @@ def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return rows.reshape(2 * n, 9)
 
 
-def _split_real(values, vectors=None, window=None):
+def _split_real(values, column=None, window=None):
     """Filter near-real finite eigenvalues; yields (beta, vec) pairs, so a
     caller that only asks whether there is one stops at the first.
 
     With ``window = (lo, hi)`` only values whose real part lies in it, both
     ends inclusive, are considered.
 
-    With ``vectors`` (one column per value), each kept column is rotated by
-    the conjugate phase of its largest entry; it is dropped if its norm is
-    zero or its imaginary part then exceeds 1e-4 of its norm. The values are
-    tested as Python floats, and each norm is ``sqrt(x.dot(x))`` on the view
-    ``np.linalg.norm`` would take, so the bits are those of the numpy forms.
+    With ``column``, which gives a value's eigenvector from its index, each
+    passing value's vector is rotated by the conjugate phase of its largest
+    entry and dropped if its norm is zero or its imaginary part then exceeds
+    1e-4 of its norm. Values are tested as Python floats and each norm is
+    ``sqrt(x.dot(x))`` on the view ``np.linalg.norm`` takes: numpy's bits.
     """
     lo, hi = (-math.inf, math.inf) if window is None else window
     for i, lam in enumerate(np.atleast_1d(values).tolist()):
@@ -208,8 +207,8 @@ def _split_real(values, vectors=None, window=None):
         if leak > IMAG_TOL * (1.0 + abs(beta)):
             continue
         vec = None
-        if vectors is not None:
-            vraw = vectors[:, i]
+        if column is not None:
+            vraw = column(i)
             # rotate the global phase away before measuring the imaginary leak
             phase = vraw[np.abs(vraw).argmax()]
             if abs(phase) > 0:
@@ -229,22 +228,15 @@ def _split_real(values, vectors=None, window=None):
         yield beta, vec
 
 
-def _to_pixels(geometry: str, t1: np.ndarray, t2: np.ndarray):
-    """The map of a normalized-coordinate matrix m to its pixel model: F is
-    ``t2^T m t1`` and H ``t2^-1 m t1``, the inverse taken once per sample.
-    Like ``TwoViewModel.normalized`` it raises ValueError for a zero or
-    non-finite matrix."""
+def _candidates(geometry: str, t1, t2, found) -> list[SolverCandidate]:
+    """Candidates of normalized ``(beta, m)`` pairs, in order, with pixel models
+    F = t2^T m t1 or H = t2^-1 m t1, the inverse taken once per sample; an m
+    that ``TwoViewModel.normalized`` rejects is dropped."""
     left = t2.T if geometry == FUNDAMENTAL else np.linalg.inv(t2)
-    return lambda m: TwoViewModel.normalized(geometry, left @ m @ t1)
-
-
-def _candidates(to_pixels, found) -> list[SolverCandidate]:
-    """Candidates of normalized ``(beta, m)`` pairs, in their order; an m that
-    ``to_pixels`` rejects is dropped."""
     out = []
     for beta, m in found:
         try:
-            out.append(SolverCandidate(beta, to_pixels(m)))
+            out.append(SolverCandidate(beta, TwoViewModel.normalized(geometry, left @ m @ t1)))
         except ValueError:
             continue
     return out
@@ -260,11 +252,9 @@ def _in_window(cands: list[SolverCandidate], window) -> list[SolverCandidate]:
 # generalized eigenvalue solver, 9 correspondences
 
 
-# the Euclidean norm scipy.linalg.eig normalizes eigenvectors with
-_NRM2 = {
-    dt: scipy.linalg.get_blas_funcs("nrm2", dtype=dt, ilp64="preferred")
-    for dt in (np.float64, np.complex128)
-}
+# the Euclidean norms scipy.linalg.eig normalizes real, then complex, vectors with
+_NRM2 = [scipy.linalg.get_blas_funcs("nrm2", dtype=dt, ilp64="preferred")
+         for dt in (np.float64, np.complex128)]
 
 
 @functools.cache
@@ -274,17 +264,11 @@ def _ggev_lwork(n: int) -> int:
     return int(dggev(zeros, zeros, lwork=-1)[-2][0])
 
 
-def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eig(a, b)`` for real square a, b, bit for bit.
-
-    One ``dggev`` call with a cached workspace size, then scipy's own
-    post-processing: ``alpha / beta`` as a complex division, with scipy's
-    masks for inf at beta = 0 and nan at 0 / 0 applied only when some beta
-    is 0; complex-pair eigenvectors assembled from the real and imaginary
-    columns; each column divided by its BLAS ``nrm2``. Skips scipy's
-    argument validation and its per-call workspace query. Non-finite input
-    and LAPACK failures raise ``DegenerateInput``.
-    """
+def _gep_real(a: np.ndarray, b: np.ndarray, window) -> list[tuple[float, np.ndarray]]:
+    """``_split_real``'s pairs in ``window`` of ``scipy.linalg.eig(a, b)``, bit for
+    bit, by one ``dggev`` call and scipy's post-processing, with vectors only for
+    values that pass the value tests. NoRealSolution if none passes anywhere;
+    DegenerateInput for non-finite input or vectors, no finite value or LAPACK failure."""
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DegenerateInput("GEP failed: pencil has non-finite entries")
     alphar, alphai, beta, _, vr, _, info = dggev(a, b, 0, 1, _ggev_lwork(a.shape[0]))
@@ -293,30 +277,41 @@ def _ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alpha = alphar + 1j * alphai
     if beta.all():
         w = alpha / beta
-    else:
-        w = np.empty_like(alpha)
-        alpha_zero = alpha == 0
-        beta_zero = beta == 0
-        w[~beta_zero] = alpha[~beta_zero] / beta[~beta_zero]
-        w[~alpha_zero & beta_zero] = np.inf
-        if np.all(alpha.imag == 0):
-            w[alpha_zero & beta_zero] = np.nan
-        else:
-            w[alpha_zero & beta_zero] = complex(np.nan, np.nan)
+    else:  # scipy's masks: inf at beta = 0, nan at 0 / 0
+        w, zero = np.empty_like(alpha), beta == 0
+        w[~zero] = alpha[~zero] / beta[~zero]
+        nan = np.nan if np.all(alpha.imag == 0) else complex(np.nan, np.nan)
+        w[zero] = np.where(alpha[zero] == 0, nan, np.inf)
+    # scipy's pair assembly, in column order: a pair's first column takes the
+    # next as its imaginary part, then its conjugate replaces that column
     wi = w.imag.tolist()
-    if any(wi):
-        v = np.array(vr, dtype=w.dtype)
-        n = len(wi)
-        for i in range(n):
-            if wi[i] > 0 or (i + 1 < n and wi[i + 1] < 0):
-                v.imag[:, i] = vr[:, i + 1]
-                np.conj(v[:, i], v[:, i + 1])
-        vr = v
+    if complex_pairs := any(wi):
+        pair = [x > 0 or y < 0 for x, y in zip(wi, wi[1:] + [0.0])]
+        real_of = list(range(len(wi)))
+        for i, starts in enumerate(pair):
+            if starts:
+                real_of[i + 1] = real_of[i]
     if not np.isfinite(vr).all():  # scipy's norm rejects it
         raise DegenerateInput("GEP failed: non-finite eigenvectors")
-    nrm2 = _NRM2[vr.dtype.type]
-    vr /= [nrm2(col) for col in vr.T]
-    return w, vr
+    if not np.isfinite(w).any():
+        raise DegenerateInput("pencil is singular for all beta")
+    nrm2 = _NRM2[complex_pairs]
+
+    def column(i):
+        col = vr[:, i]
+        if complex_pairs:
+            col = vr[:, real_of[i]].astype(complex)
+            if pair[i]:
+                col.imag = vr[:, i + 1]
+            elif i and pair[i - 1]:
+                np.negative(vr[:, i], out=col.imag)
+        return col / nrm2(col)
+
+    real = list(_split_real(w, column, window))
+    # valid if any value passes: a unit f6 gives an F that only overflow rejects
+    if not real and not any(_split_real(w, column)):
+        raise NoRealSolution("all generalized eigenvalues complex or infinite")
+    return real
 
 
 @dataclass
@@ -334,11 +329,11 @@ class PreparedF(CorrSet):
     t2: np.ndarray | None = None
     degenerate: str | None = None
 
-    def f_of(self, betas: np.ndarray, f6: np.ndarray) -> np.ndarray:
-        """The normalized F of each row of ``f6`` at its shift:
-        f3 = -(g[:, :6] + beta g[:, 6:]) f6."""
+    def f_of(self, betas, f6: np.ndarray) -> np.ndarray:
+        """The normalized F of each row of ``f6`` at its shift, one of the
+        (k, 1) ``betas`` or a single shift: f3 = -(g[:, :6] + beta g[:, 6:]) f6."""
         g = self.g
-        f3 = -(f6 @ g[:, :6].T + betas[:, None] * (f6 @ g[:, 6:].T))
+        f3 = -(f6 @ g[:, :6].T + betas * (f6 @ g[:, 6:].T))
         return np.concatenate([f6, f3], axis=1).reshape(-1, 3, 3)
 
 
@@ -406,20 +401,11 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     if len(corr) != 9:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
     draw = _prepared(corr)
-    values, vectors = _ggev(draw.a, -draw.c)
-    if not np.isfinite(values).any():
-        raise DegenerateInput("pencil is singular for all beta")
-    real = list(_split_real(values, vectors, window))
-    # f6 is a unit eigenvector, so the F built below is nonzero and
-    # ``_to_pixels`` rejects it only if the back-substitution overflows, far
-    # beyond any window. A draw is therefore valid exactly when some eigenvalue
-    # passes _split_real, and those outside the window need no model to decide.
-    if not real and not any(_split_real(values, vectors)):
-        raise NoRealSolution("all generalized eigenvalues complex or infinite")
-    # one candidate per call: a one-row matmul runs gemv, a stacked one gemm,
+    # one row per candidate: a one-row matmul runs gemv, a stacked one gemm,
     # and a candidate's bits must not depend on how many the window keeps
-    found = [(beta, draw.f_of(np.array([beta]), f6[None])[0]) for beta, f6 in real]
-    return _candidates(_to_pixels(FUNDAMENTAL, draw.t1, draw.t2), found)
+    found = [(beta, draw.f_of(beta, f6[None])[0])
+             for beta, f6 in _gep_real(draw.a, -draw.c, window)]
+    return _candidates(FUNDAMENTAL, draw.t1, draw.t2, found)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +447,7 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     nodes = mid + half * _NODES
     pencils = a5 + nodes[:, None, None] * c5
     minors = np.linalg.det(np.swapaxes(pencils[..., _MINOR5_COLS], -3, -2))
-    samples = np.linalg.det(draw.f_of(nodes, _MINOR5_SIGNS * minors))
+    samples = np.linalg.det(draw.f_of(nodes[:, None], _MINOR5_SIGNS * minors))
     scale = np.max(np.abs(samples))
     if scale == 0 or not np.isfinite(scale):
         raise DegenerateInput("determinant polynomial vanished identically")
@@ -477,9 +463,9 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     betas = np.array([beta for beta, _ in real])
     _, sing, vt = np.linalg.svd(a5 + betas[:, None, None] * c5)
     keep = ~(sing[:, -1] < 1e-8 * sing[:, 0])
-    fs = draw.f_of(betas, vt[:, -1])
+    fs = draw.f_of(betas[:, None], vt[:, -1])
     found = [(beta, f) for (beta, _), ok, f in zip(real, keep, fs) if ok]
-    return _candidates(_to_pixels(FUNDAMENTAL, draw.t1, draw.t2), found)
+    return _candidates(FUNDAMENTAL, draw.t1, draw.t2, found)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +507,12 @@ def solve_min_h_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
         raise DegenerateInput("quadratic system is rank-deficient") from exc
     values, vectors = np.linalg.eig(action)
     found = []
-    for beta, vec in _split_real(values, vectors):
+    for beta, vec in _split_real(values, lambda i: vectors[:, i]):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
         found.append((beta, (g1 * n1 + g2 * n2 + n3)[:9].reshape(3, 3)))
-    candidates = _candidates(_to_pixels(HOMOGRAPHY, t1, t2), found)
+    candidates = _candidates(HOMOGRAPHY, t1, t2, found)
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
     return _in_window(candidates, window)
@@ -558,7 +544,7 @@ def solve_7pt_f(corr: CorrSet, window=None) -> list[SolverCandidate]:
         raise DegenerateInput("determinant polynomial is constant")
     roots = np.polynomial.polynomial.polyroots(poly)
     found = [(0.0, x * f1 + (1 - x) * f2) for x, _ in _split_real(roots)]
-    candidates = _candidates(_to_pixels(FUNDAMENTAL, t1, t2), found)
+    candidates = _candidates(FUNDAMENTAL, t1, t2, found)
     if not candidates:
         raise NoRealSolution("no real root of the cubic")
     return _in_window(candidates, window)
@@ -590,7 +576,7 @@ def solve_4pt_h(corr: CorrSet, window=None) -> list[SolverCandidate]:
     ncorr, t1, t2 = _normalize_corr(corr)
     _, _, vt = np.linalg.svd(_skew_rows(ncorr.s1, ncorr.u))
     found = [(0.0, vt[-1].reshape(3, 3))]
-    return _in_window(_candidates(_to_pixels(HOMOGRAPHY, t1, t2), found), window)
+    return _in_window(_candidates(HOMOGRAPHY, t1, t2, found), window)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +594,8 @@ def fit_model_at_beta(geometry: str, sub: CorrSet, beta: float) -> TwoViewModel:
     else:
         rows = _skew_rows(sub_n.s1, pred)
     _, vecs = np.linalg.eigh(rows.T @ rows)
-    return _to_pixels(geometry, t1, t2)(vecs[:, 0].reshape(3, 3))
+    left = t2.T if geometry == FUNDAMENTAL else np.linalg.inv(t2)
+    return TwoViewModel.normalized(geometry, left @ vecs[:, 0].reshape(3, 3) @ t1)
 
 
 def fit_beta_at_model(geometry: str, sub: CorrSet, model: TwoViewModel) -> float:

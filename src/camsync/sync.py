@@ -28,6 +28,7 @@ from .robust import (
     RansacResult,
     count_correspondences,
     ransac_estimate,
+    require_integers,
     solver_kind,
 )
 # not called here; the benchmark's traced run wraps this binding
@@ -43,6 +44,7 @@ class IterParams:
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self):
+        require_integers(self, "k_max", "p_min", "p_max")
         if not solver_kind(self.kind).estimates_beta:  # the loop steps by the shift
             raise ValueError(f"solver kind {self.kind!r} does not estimate the shift")
         if self.k_max < 2:  # the loop takes at most k_max - 1 steps

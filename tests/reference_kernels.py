@@ -162,6 +162,19 @@ def ggev(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, vr
 
 
+def gep_real(values, vectors, window=None):
+    """The real eigenpairs f-gep keeps in ``window`` of ``scipy.linalg.eig``'s
+    output; NoRealSolution when it keeps none anywhere."""
+    if not np.any(np.isfinite(values)):
+        raise DegenerateInput("pencil is singular for all beta")
+    lo, hi = (-np.inf, np.inf) if window is None else window
+    inside = (lo <= values.real) & (values.real <= hi)
+    real = split_real(values[inside], vectors[:, inside])
+    if not real and not split_real(values[~inside], vectors[:, ~inside]):
+        raise NoRealSolution("all generalized eigenvalues complex or infinite")
+    return real
+
+
 def compress_f(corr: CorrSet):
     """One sample's compressed F system, as ``solvers.prepare_f_draws`` gives
     it for each sample of a block: the lower pencil rows a and c, g with
@@ -183,16 +196,8 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
     a6, c6, g, t1, t2 = compress_f(corr)
     ga, gc = g[:, :6], g[:, 6:]
-    values, vectors = ggev(a6, -c6)
-    if not np.any(np.isfinite(values)):
-        raise DegenerateInput("pencil is singular for all beta")
-    lo, hi = (-np.inf, np.inf) if window is None else window
-    inside = (lo <= values.real) & (values.real <= hi)
-    real = split_real(values[inside], vectors[:, inside])
-    if not real and not split_real(values[~inside], vectors[:, ~inside]):
-        raise NoRealSolution("all generalized eigenvalues complex or infinite")
     candidates = []
-    for beta, f6 in real:
+    for beta, f6 in gep_real(*ggev(a6, -c6), window):
         f3 = -(f6 @ ga.T + beta * (f6 @ gc.T))
         fmat_n = np.concatenate([f6, f3]).reshape(3, 3)
         fmat = t2.T @ fmat_n @ t1

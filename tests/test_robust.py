@@ -298,6 +298,15 @@ class TestRansacParams:
         for good in (0, 2**64 - 1, np.uint64(2**64 - 1)):
             assert RansacParams(seed=good).seed == good
 
+    @pytest.mark.parametrize("field", ["max_iterations", "seed", "d"])
+    def test_non_integer_field_is_rejected(self, field):
+        # seed=1.5 and seed=True used to run; max_iterations=20.5 failed later
+        # with a TypeError and d=1.5 with an IndexError
+        for bad in (1.5, 20.5, 2.0, True, np.bool_(True), np.float64(3.0), "4"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                RansacParams(**{field: bad})
+        assert getattr(RansacParams(**{field: np.int64(3)}), field) == 3
+
     def test_window_default_tracks_d(self):
         assert RansacParams(d=1).window == (-10.0, 10.0)
         assert RansacParams(d=-4, beta0=5.0).window == (-40.0, 40.0)

@@ -28,7 +28,7 @@ from camsync.robust import SOLVER_KINDS, build_correspondences
 from camsync import robust, solvers
 from camsync.solvers import (
     CorrSet,
-    _ggev,
+    _gep_real,
     _normalize_corr,
     _normalizing_transforms,
     _split_real,
@@ -319,16 +319,42 @@ def pencil(seed, case):
     return a, b
 
 
+def kept(gep_real, a, b, window):
+    """The pairs f-gep's eigen step keeps, as bytes, or the class of its error."""
+    try:
+        return split_bytes(gep_real(a, b, window))
+    except (DegenerateInput, NoRealSolution, IndexError) as exc:
+        return type(exc).__name__
+
+
+def scipy_kept(a, b, window):
+    """f-gep's eigen step as ``scipy.linalg.eig`` and the reference filter."""
+    return ref.gep_real(*scipy.linalg.eig(a, b), window)
+
+
+def reference_kept(a, b, window):
+    """f-gep's eigen step as the reference ``ggev`` and filter."""
+    return ref.gep_real(*ref.ggev(a, b), window)
+
+
+# windows of RANSAC's default d = 1 and d = 4, and one far from every value
+GEP_WINDOWS = [None, (-10.0, 10.0), (-40.0, 40.0), (1e9, 1e9 + 1.0)]
+
+
 class TestDirectGgev:
     @pytest.mark.parametrize("case", ["real", "complex", "singular-b"])
     @pytest.mark.parametrize("seed", range(12))
     def test_bit_identical_to_scipy_eig(self, case, seed):
+        """The fused eigen step keeps scipy's pairs, and the reference ggev is
+        scipy.linalg.eig."""
         a, b = pencil(seed, case)
         w_ref, v_ref = scipy.linalg.eig(a, b)
-        w, v = _ggev(a, b)
+        w, v = ref.ggev(a, b)
         assert (w.dtype, v.dtype) == (w_ref.dtype, v_ref.dtype)
         assert w.tobytes() == w_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
+        for window in GEP_WINDOWS:
+            assert kept(_gep_real, a, b, window) == kept(scipy_kept, a, b, window)
         # each case is what its name says
         if case == "real":
             assert v.dtype == np.float64 and np.all(w.imag == 0)
@@ -341,18 +367,23 @@ class TestDirectGgev:
         rng = np.random.default_rng(20)
         subs = [random_corrset(rng) for _ in range(40)]
 
-        def outcomes():
+        def outcomes(solve):
             out = []
             for sub in subs:
-                try:
-                    out.append(candidate_bytes(solve_gep_f_beta(sub)))
-                except (DegenerateInput, NoRealSolution) as exc:
-                    out.append(type(exc).__name__)
+                for window in GEP_WINDOWS:
+                    try:
+                        out.append(candidate_bytes(solve(sub, window)))
+                    except (DegenerateInput, NoRealSolution) as exc:
+                        out.append(type(exc).__name__)
             return out
 
-        direct = outcomes()
-        monkeypatch.setattr(solvers, "_ggev", scipy.linalg.eig)
-        assert outcomes() == direct
+        direct = outcomes(solve_gep_f_beta)
+        # the last window holds no value: it gives [] where a value is real
+        assert all(c == [] or isinstance(c, str) for c in direct[3::4])
+        assert [] in direct[3::4]
+        assert any(c and not isinstance(c, str) for c in direct[1::4])
+        monkeypatch.setattr(ref, "ggev", scipy.linalg.eig)
+        assert outcomes(ref.solve_gep_f_beta) == direct
 
     @pytest.mark.parametrize("zero_alpha", [False, True])
     @pytest.mark.parametrize("with_pair", [False, True])
@@ -364,40 +395,44 @@ class TestDirectGgev:
         a[2:, 2:] = np.diag([1.5, -2.0, 3.0, 0.0 if zero_alpha else 4.0])
         b[2:, 2:] = np.diag([1.0, 0.0, 2.0, 0.0])
         w_ref, v_ref = scipy.linalg.eig(a, b)
-        w, v = _ggev(a, b)
+        w, v = ref.ggev(a, b)
         assert w.tobytes() == w_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
         assert np.isinf(w).sum() == (1 if zero_alpha else 2)
         assert np.isnan(w).any() == zero_alpha
         assert np.any(w.imag != 0) == with_pair
+        for window in GEP_WINDOWS + [(1.0, 2.0)]:
+            assert kept(_gep_real, a, b, window) == kept(scipy_kept, a, b, window)
+        assert kept(_gep_real, a, b, None) != []
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_post_processing_matches_scipy_on_any_dggev_output(self, data):
-        """Any alphai signs, zero betas and 0 / 0, fed to both post-processings."""
+        """Any alphai signs, zero betas and 0 / 0, fed to the fused eigen step
+        and to the reference ggev and filter, in any window."""
         n = 6
         floats = st.floats(-10, 10, allow_subnormal=False)
         alphar = np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
-        alphai = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.5, -1.5, 0.25]),
-                                             min_size=n, max_size=n)))
+        alphai = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.5, -1.5, 0.25, 1e-9, -1e-9]), min_size=n, max_size=n)))
         beta = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]),
                                            min_size=n, max_size=n)))
+        # columns scaled to 1e-9 make imaginary parts that pass the leak test,
+        # so the kept vectors show where each assembled column came from
+        scale = np.array(data.draw(st.lists(st.sampled_from([1.0, 1e-9]),
+                                            min_size=n, max_size=n)))
         vr = np.asfortranarray(np.random.default_rng(data.draw(st.integers(0, 99))).normal(
-            size=(n, n)))
+            size=(n, n)) * scale)
+        window = data.draw(st.none() | st.tuples(st.floats(-25, 25), st.floats(0, 30)).map(
+            lambda c: (c[0], c[0] + c[1])))
 
         def fake_dggev(a, b, *args):
             return alphar.copy(), alphai.copy(), beta.copy(), None, vr.copy(), None, 0
 
-        def outcome(fn):
-            try:
-                w, v = fn(np.eye(n), np.eye(n))
-            except IndexError as exc:  # a pair that starts in the last column
-                return type(exc).__name__
-            return w.tobytes(), v.dtype, v.tobytes()
-
         with mock.patch.object(solvers, "dggev", fake_dggev), \
                 mock.patch.object(ref, "dggev", fake_dggev):
-            assert outcome(_ggev) == outcome(ref.ggev)
+            eye = np.eye(n)
+            assert kept(_gep_real, eye, eye, window) == kept(reference_kept, eye, eye, window)
 
     @pytest.mark.parametrize("field", ["s1", "u", "v"])
     def test_nan_entry_is_degenerate_input(self, field):
@@ -574,7 +609,7 @@ def split_bytes(pairs):
 def eigen_systems(draw):
     """Values, their eigenvectors (or None) and a window, as the solvers make them.
 
-    The pencils' vectors come from ``_ggev``; those of 3x3 matrices from
+    The pencils' vectors come from ``ref.ggev``; those of 3x3 matrices from
     ``np.linalg.eig``. A column can be zeroed, and a near-real conjugate pair
     of values and vectors can replace two.
     """
@@ -589,7 +624,7 @@ def eigen_systems(draw):
         values[rng.integers(0, 12, size=3)] = [np.nan, np.inf, 2.0]
         vectors = None
     else:
-        values, vectors = _ggev(*pencil(int(rng.integers(2**32)), source))
+        values, vectors = ref.ggev(*pencil(int(rng.integers(2**32)), source))
     n = values.shape[0]
     if vectors is not None:
         if draw(st.booleans()):
@@ -605,7 +640,7 @@ def eigen_systems(draw):
             values[k:k + 2] = 1.5 + eps * 1j, 1.5 - eps * 1j
             vectors = vectors.astype(complex)
             vectors[:, k], vectors[:, k + 1] = base, np.conj(base)
-    window = None
+    window = draw(st.sampled_from(GEP_WINDOWS))
     if draw(st.booleans()):
         lo = draw(st.floats(-100, 100))
         window = (lo, lo + draw(st.floats(0, 200)))
@@ -621,7 +656,8 @@ class TestSplitReal:
         if window is not None:
             inside = (window[0] <= values.real) & (values.real <= window[1])
         want = ref.split_real(values[inside], None if vectors is None else vectors[:, inside])
-        assert split_bytes(_split_real(values, vectors, window)) == split_bytes(want)
+        column = None if vectors is None else (lambda i: vectors[:, i])
+        assert split_bytes(_split_real(values, column, window)) == split_bytes(want)
 
 
 @st.composite

@@ -60,6 +60,15 @@ class TestIterParams:
         with pytest.raises(ValueError, match="unknown solver kind 'bogus'"):
             IterParams(kind="bogus")
 
+    @pytest.mark.parametrize("field", ["k_max", "p_min", "p_max"])
+    def test_non_integer_field_is_rejected(self, field):
+        # a float p_max or p_min used to fail later, as an IndexError inside
+        # the loop; a float k_max was accepted
+        for bad in (2.5, 3.0, 0.5, True, np.bool_(False), "3"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                IterParams(kind=KIND_F_GEP, **{field: bad})
+        assert getattr(IterParams(kind=KIND_F_GEP, **{field: np.int64(3)}), field) == 3
+
     @pytest.mark.parametrize("kind", [KIND_F_7PT, KIND_H_4PT])
     def test_kind_that_holds_the_shift_is_rejected(self, kind):
         # the loop steps by the estimated shift; a baseline's is always 0, so
