@@ -10,6 +10,7 @@ predicted point at shift ``beta0 + delta`` is ``u + delta * v``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,16 @@ MAX_FRAME = 2**63 - 1  # frames are stored as int64
 # largest |u| or |v| of a sample, far below the double range, so that secant
 # differences and squares and products of two coordinates stay finite
 MAX_COORD = 1e150
+
+
+def require_numbers(params, kind: type, *names: str) -> None:
+    """ValueError for the first field in ``names`` that is a bool or not a
+    ``kind``, ``numbers.Integral`` or ``numbers.Real``."""
+    what = "an integer" if kind is numbers.Integral else "a real number"
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .geometry import (
     HOMOGRAPHY,
     MAX_FRAME,
     Trajectory,
+    require_numbers,
     sampson,
     symmetric_transfer,
 )
@@ -36,7 +37,8 @@ from .solvers import (
     SolverCandidate,
     fit_beta_at_model,
     fit_model_at_beta,
-    prepare_f_draws,
+    prepare_f_draws,  # noqa: F401 (each block step is looked up by its SolverKind.prepare)
+    prepare_h_draws,  # noqa: F401
     solve_4pt_h,  # noqa: F401 (each solver is looked up by its SolverKind.solver)
     solve_7pt_f,  # noqa: F401
     solve_gep_f_beta,  # noqa: F401
@@ -55,30 +57,30 @@ KIND_H_4PT = "h-4pt"
 
 CONFIDENCE = 0.995  # adaptive termination: wanted chance that some draw is all inliers
 REFINE_ROUNDS = 2  # post-consensus least-squares rounds
-DRAW_BLOCK = 64  # most F-solver samples prepared at once; blocks grow 4, 8, ... to it
+DRAW_BLOCK = 64  # most samples prepared at once; blocks grow 4, 8, ... to it
 
 
 @dataclass(frozen=True)
 class SolverKind:
     """What a RANSAC solver kind is: its minimal sample, its geometry, whether
     it estimates the shift (the classical baselines hold it at beta0), the
-    name this module binds its solver to and whether ``prepare_f_draws`` makes
-    its draws. ``ransac_estimate`` looks the name up when it runs, so a
-    rebinding of ``robust.solve_*`` sees every call."""
+    name this module binds its solver to and that of the block step preparing
+    its draws, or None. RANSAC looks both up when it runs, so a rebinding of
+    ``robust.solve_*`` or ``robust.prepare_*`` sees every call."""
 
     sample_size: int
     geometry: str  # FUNDAMENTAL or HOMOGRAPHY
     estimates_beta: bool
     solver: str
-    prepared: bool
+    prepare: str | None
 
 
 SOLVER_KINDS = {
-    KIND_F_GEP: SolverKind(9, FUNDAMENTAL, True, "solve_gep_f_beta", True),
-    KIND_F_MIN: SolverKind(8, FUNDAMENTAL, True, "solve_min_f_beta", True),
-    KIND_H_MIN: SolverKind(5, HOMOGRAPHY, True, "solve_min_h_beta", False),
-    KIND_F_7PT: SolverKind(7, FUNDAMENTAL, False, "solve_7pt_f", False),
-    KIND_H_4PT: SolverKind(4, HOMOGRAPHY, False, "solve_4pt_h", False),
+    KIND_F_GEP: SolverKind(9, FUNDAMENTAL, True, "solve_gep_f_beta", "prepare_f_draws"),
+    KIND_F_MIN: SolverKind(8, FUNDAMENTAL, True, "solve_min_f_beta", "prepare_f_draws"),
+    KIND_H_MIN: SolverKind(5, HOMOGRAPHY, True, "solve_min_h_beta", "prepare_h_draws"),
+    KIND_F_7PT: SolverKind(7, FUNDAMENTAL, False, "solve_7pt_f", None),
+    KIND_H_4PT: SolverKind(4, HOMOGRAPHY, False, "solve_4pt_h", None),
 }
 
 
@@ -88,14 +90,6 @@ def solver_kind(kind: str) -> SolverKind:
         return SOLVER_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown solver kind {kind!r}") from None
-
-
-def require_integers(params, *names: str) -> None:
-    """ValueError for the first field in ``names`` that is a bool or no integer."""
-    for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,10 @@ class RansacParams:
     beta_max: float | None = None  # window around beta0; default 10 * max(|d|, 1)
 
     def __post_init__(self):
-        require_integers(self, "max_iterations", "seed", "d")
+        require_numbers(self, numbers.Integral, "max_iterations", "seed", "d")
+        require_numbers(self, numbers.Real, "threshold", "rho", "beta0")
+        if self.beta_max is not None:
+            require_numbers(self, numbers.Real, "beta_max")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError("threshold must be positive and finite")
         if not (math.isfinite(self.rho) and self.rho > 0):
@@ -226,7 +223,7 @@ def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet
 
     Draw ``it`` takes the indices of ``default_rng(seed ^ it)``, so drawing
     ahead changes no stream. Prepared kinds draw in blocks of 4, 8, ... up to
-    ``DRAW_BLOCK`` and prepare each block with one ``prepare_f_draws`` call;
+    ``DRAW_BLOCK`` and prepare each block with one call of their block step;
     samples drawn past the point where the caller stops are never solved.
     """
     spec = solver_kind(kind)
@@ -236,15 +233,16 @@ def _samples(kind: str, corr: CorrSet, params: RansacParams) -> Iterator[CorrSet
         rng = np.random.default_rng(np.uint64(params.seed) ^ np.uint64(it))
         return rng.choice(n, size=spec.sample_size, replace=False)
 
-    if not spec.prepared:
+    if spec.prepare is None:
         for it in range(params.max_iterations):
             yield corr.take(draw(it))
         return
+    prepare = globals()[spec.prepare]
     it, block = 0, min(4, DRAW_BLOCK)
     while it < params.max_iterations:
         count = min(block, params.max_iterations - it)
         idx = np.array([draw(k) for k in range(it, it + count)])
-        yield from prepare_f_draws(corr.s1[idx], corr.u[idx], corr.v[idx])
+        yield from prepare(corr.s1[idx], corr.u[idx], corr.v[idx])
         it += count
         block = min(2 * block, DRAW_BLOCK)
 
@@ -259,7 +257,7 @@ def score_candidate(
     else:
         res = symmetric_transfer(cand.model.m, s1, pred)
     mask = res <= threshold
-    return mask, float(res[mask].sum())
+    return mask, float(res.compress(mask).sum())
 
 
 def refine_candidate(

@@ -24,12 +24,14 @@ Only this module computes in normalized coordinates: every solver and fit
 conditions both images with isotropic (Hartley-style) normalization, and
 every solver maps its matrices back to pixel-model candidates with ``_candidates``.
 
-The F solvers run inside RANSAC on tiny arrays, where numpy's per-call
-overhead costs more than the arithmetic. So ``prepare_f_draws`` compresses a
-whole block of RANSAC's samples at once (normalization, pencil, one stacked
-QR) and runs each sample's ``dtrtrs`` back-substitution; each solver call then
-takes one prepared sample, and a plain ``CorrSet`` is prepared as a block of
-one. f-gep's pencil goes to ``dggev`` directly. Each step gives the bits of
+The shift-estimating solvers run inside RANSAC on tiny arrays, where
+numpy's per-call overhead costs more than the arithmetic. So
+``prepare_f_draws`` compresses a whole block of RANSAC's samples at once
+(normalization, pencil, one stacked QR) and runs each sample's ``dtrtrs``
+back-substitution, and ``prepare_h_draws`` takes h-min's normalization,
+SVD, solve and eig once per block; each solver call then takes one prepared
+sample, and a plain ``CorrSet`` is prepared as a block of one. f-gep's
+pencil goes to ``dggev`` directly. Each step gives the bits of
 the per-sample numpy or scipy function it stands for, as do the stacked
 minors and the written-out reductions; ``tests/reference_kernels.py`` holds
 those plain forms.
@@ -152,15 +154,22 @@ def _normalizing_transforms(points: np.ndarray) -> tuple[np.ndarray, np.ndarray 
     return t, coincident
 
 
+def _normalize_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
+    """Normalize a block of (B, m, 3) samples at once: the normalized s1, u
+    and v, the transforms t1 and t2, and per sample whether its points are
+    not coincident. Each sample gets the bits of a block of its own."""
+    t, coincident = _normalizing_transforms(np.stack([s1[..., :2], u[..., :2]], axis=-3))
+    t1, t2 = t[:, 0], t[:, 1]
+    fine = [True] * len(s1) if coincident is None else (~coincident.any(axis=1)).tolist()
+    t1t, t2t = np.swapaxes(t1, -1, -2), np.swapaxes(t2, -1, -2)
+    return s1 @ t1t, u @ t2t, v @ t2t, t1, t2, fine
+
+
 def _normalize_corr(corr: CorrSet) -> tuple[CorrSet, np.ndarray, np.ndarray]:
-    (t1, t2), coincident = _normalizing_transforms(np.stack([corr.s1[:, :2], corr.u[:, :2]]))
-    if coincident is not None:
+    ns1, nu, nv, t1, t2, fine = _normalize_draws(corr.s1[None], corr.u[None], corr.v[None])
+    if not fine[0]:
         raise DegenerateInput("coincident points, cannot normalize")
-    return (
-        CorrSet(corr.s1 @ t1.T, corr.u @ t2.T, corr.v @ t2.T),
-        t1,
-        t2,
-    )
+    return CorrSet(ns1[0], nu[0], nv[0]), t1[0], t2[0]
 
 
 def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,18 +181,17 @@ def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _skew_rows(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """First two rows of [a]_x H s = 0 per sample, interleaved, in vec(H).
 
-    s, a: (n, 3) with a[:, 2] the homogeneous coordinate. Row 2r is
-    [0, -s_r, a_r[1] s_r] and row 2r+1 is [s_r, 0, -a_r[0] s_r]; their last
-    three columns are the coefficients of the third row of H, the only one
-    that a[:, :2] multiplies.
+    s, a: (..., n, 3) with a[..., 2] the homogeneous coordinate; the rows are
+    (..., 2n, 9). Row 2r is [0, -s_r, a_r[1] s_r] and row 2r+1 is
+    [s_r, 0, -a_r[0] s_r]; their last three columns are the coefficients of
+    the third row of H, the only one that a[..., :2] multiplies.
     """
-    n = s.shape[0]
-    rows = np.zeros((n, 2, 9))
-    rows[:, 0, 3:6] = -s
-    rows[:, 0, 6:] = a[:, 1:2] * s
-    rows[:, 1, :3] = s
-    rows[:, 1, 6:] = -a[:, 0:1] * s
-    return rows.reshape(2 * n, 9)
+    rows = np.zeros(s.shape[:-1] + (2, 9))
+    rows[..., 0, 3:6] = -s
+    rows[..., 0, 6:] = a[..., 1:2] * s
+    rows[..., 1, :3] = s
+    rows[..., 1, 6:] = -a[..., 0:1] * s
+    return rows.reshape(s.shape[:-2] + (-1, 9))
 
 
 def _split_real(values, column=None, window=None):
@@ -317,8 +325,8 @@ def _gep_real(a: np.ndarray, b: np.ndarray, window) -> list[tuple[float, np.ndar
 @dataclass
 class PreparedF(CorrSet):
     """One F-solver sample with its compression done, as ``prepare_f_draws``
-    gives it: the sample rows and either ``degenerate``, the message its
-    solver raises, or the compressed system. That is the lower pencil rows
+    gives it: the sample rows and either ``error``, the ``DegenerateInput``
+    its solver raises, or the compressed system. That is the lower pencil rows
     ``a`` and ``c`` (6x6 for f-gep, 5x6 for f-min), ``g`` = R^-1 [A3 C3] and
     the normalizing transforms ``t1`` and ``t2``."""
 
@@ -327,7 +335,7 @@ class PreparedF(CorrSet):
     g: np.ndarray | None = None
     t1: np.ndarray | None = None
     t2: np.ndarray | None = None
-    degenerate: str | None = None
+    error: Exception | None = None
 
     def f_of(self, betas, f6: np.ndarray) -> np.ndarray:
         """The normalized F of each row of ``f6`` at its shift, one of the
@@ -350,12 +358,8 @@ def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Prepar
     sample degenerate. Every result has the bits of its sample compressed
     alone.
     """
-    t, coincident = _normalizing_transforms(np.stack([s1[..., :2], u[..., :2]], axis=-3))
-    t1, t2 = t[:, 0], t[:, 1]
-    fine = [True] * len(s1) if coincident is None else (~coincident.any(axis=1)).tolist()
-    t1t, t2t = np.swapaxes(t1, -1, -2), np.swapaxes(t2, -1, -2)
-    ns1 = s1 @ t1t
-    m1, m2 = _kron_rows(u @ t2t, ns1), _kron_rows(v @ t2t, ns1)
+    ns1, nu, nv, t1, t2, fine = _normalize_draws(s1, u, v)
+    m1, m2 = _kron_rows(nu, ns1), _kron_rows(nv, ns1)
     q, r = np.linalg.qr(m1[..., 6:9], mode="complete")
     qt = np.swapaxes(q, -1, -2)
     a, c = qt @ m1[..., :6], qt @ m2[..., :6]
@@ -364,11 +368,11 @@ def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Prepar
     for k, ok in enumerate(fine):
         draw = PreparedF(s1[k], u[k], v[k])
         if not ok:
-            draw.degenerate = "coincident points, cannot normalize"
+            draw.error = DegenerateInput("coincident points, cannot normalize")
         else:
             g, info = dtrtrs(r[k, :3], rhs[k])
             if info != 0:
-                draw.degenerate = "camera-1 points collinear, R is singular"
+                draw.error = DegenerateInput("camera-1 points collinear, R is singular")
             else:
                 draw.a, draw.c, draw.g = a[k, 3:], c[k, 3:], g
                 draw.t1, draw.t2 = t1[k], t2[k]
@@ -376,13 +380,13 @@ def prepare_f_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[Prepar
     return out
 
 
-def _prepared(corr: CorrSet) -> PreparedF:
-    """``corr`` as prepared, or prepared as a block of one; a degenerate
-    sample raises its ``DegenerateInput``."""
-    if not isinstance(corr, PreparedF):
-        corr = prepare_f_draws(corr.s1[None], corr.u[None], corr.v[None])[0]
-    if corr.degenerate is not None:
-        raise DegenerateInput(corr.degenerate)
+def _prepared(corr: CorrSet, prepared: type, prepare):
+    """``corr`` if it is a ``prepared`` sample, else ``prepare``'s block of
+    one; a sample that stored an error raises it."""
+    if not isinstance(corr, prepared):
+        corr = prepare(corr.s1[None], corr.u[None], corr.v[None])[0]
+    if corr.error is not None:
+        raise corr.error.with_traceback(None)
     return corr
 
 
@@ -400,7 +404,7 @@ def solve_gep_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """
     if len(corr) != 9:
         raise ValueError(f"solve_gep_f_beta needs 9 correspondences, got {len(corr)}")
-    draw = _prepared(corr)
+    draw = _prepared(corr, PreparedF, prepare_f_draws)
     # one row per candidate: a one-row matmul runs gemv, a stacked one gemm,
     # and a candidate's bits must not depend on how many the window keeps
     found = [(beta, draw.f_of(beta, f6[None])[0])
@@ -438,7 +442,7 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """
     if len(corr) != 8:
         raise ValueError(f"solve_min_f_beta needs 8 correspondences, got {len(corr)}")
-    draw = _prepared(corr)
+    draw = _prepared(corr, PreparedF, prepare_f_draws)
     a5, c5 = draw.a, draw.c
     lo, hi = (-BETA_SPAN, BETA_SPAN) if window is None else window
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -472,6 +476,70 @@ def solve_min_f_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
 # minimal homography solver, 5 correspondences
 
 
+@dataclass
+class PreparedH(CorrSet):
+    """One h-min sample as ``prepare_h_draws`` gives it: the rows and either
+    ``error``, the exception its solver raises, or the nullspace rows ``null``
+    (3x12), the action matrix's eigen``values`` and ``vectors``, ``t1``, ``t2``."""
+
+    null: np.ndarray | None = None
+    values: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
+    error: Exception | None = None
+
+
+def prepare_h_draws(s1: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[PreparedH]:
+    """h-min's steps up to its eigenproblem for a block of (B, 5, 3) samples:
+    normalization, skew rows and the 9x12 SVDs, then, where the rank test
+    passes, the action matrices' solve and eig, each run once on the block
+    with the bits of each sample's own call. A stacked ``eig`` is complex for
+    all if any sample's values are, so one whose values are all real takes
+    the real parts, as its own call does. A sample stores what its solver
+    raises; a stacked call that fails makes the block run one sample at a time."""
+    draws = [PreparedH(*rows) for rows in zip(s1, u, v)]
+    try:
+        _solve_h_block(draws, s1, u, v)
+    except (np.linalg.LinAlgError, DegenerateInput) as exc:
+        if len(draws) > 1:
+            return [prepare_h_draws(s1[k:k + 1], u[k:k + 1], v[k:k + 1])[0]
+                    for k in range(len(draws))]
+        draws[0].error = draws[0].error or exc  # an earlier step's error comes first
+    return draws
+
+
+def _solve_h_block(draws: list[PreparedH], s1, u, v) -> None:
+    """``prepare_h_draws``' steps; each sample's error is set before the next."""
+    ns1, nu, nv, t1, t2, fine = _normalize_draws(s1, u, v)
+    for draw, ok in zip(draws, fine):
+        if not ok:
+            draw.error = DegenerateInput("coincident points, cannot normalize")
+    # 12-monomial basis [h11..h33, beta*h31, beta*h32, beta*h33]: the third
+    # component of u + beta v is 1, so beta only multiplies the third row of H
+    rows = np.concatenate([_skew_rows(ns1, nu), _skew_rows(ns1, nv)[..., 6:]], axis=-1)
+    _, sing, vt = np.linalg.svd(rows[:, :9])  # 9 x 12 each
+    for draw, rank_low in zip(draws, (sing[:, 8] < 1e-10 * sing[:, 0]).tolist()):
+        if rank_low and draw.error is None:
+            draw.error = DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")
+    live = [k for k, draw in enumerate(draws) if draw.error is None]
+    # constraints w[9+k] = beta * w[6+k], k = 0..2, in monomials
+    # [beta*g1, beta*g2, beta, g1, g2, 1] with w = g1 n1 + g2 n2 + n3;
+    # row k of p holds -n[6+k], row k of q holds n[9+k]
+    null = vt[live, -3:]  # rows n1, n2, n3 of each sample
+    p, q = -np.swapaxes(null[..., 6:9], -1, -2), np.swapaxes(null[..., 9:12], -1, -2)
+    try:
+        action = -np.linalg.solve(p, q)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateInput("quadratic system is rank-deficient") from exc
+    values, vectors = np.linalg.eig(action)
+    for k, n, w, vec in zip(live, null, values, vectors):
+        if not w.imag.any():
+            w, vec = w.real, vec.real
+        draws[k].null, draws[k].values, draws[k].vectors = n, w, vec
+        draws[k].t1, draws[k].t2 = t1[k], t2[k]
+
+
 def solve_min_h_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     """Homography + time shift from 5 correspondences (4.5-sample problem).
 
@@ -481,38 +549,21 @@ def solve_min_h_beta(corr: CorrSet, window=None) -> list[SolverCandidate]:
     3x3 eigenvalue problem with up to three real solutions. Every real root
     gets its model, so ``NoRealSolution`` is raised only when none gives one;
     then the candidates are filtered to ``window = (lo, hi)``.
+
+    ``corr`` is 5 rows, prepared as a block of one, or one sample of
+    ``prepare_h_draws``; what a sample stored is raised here.
     """
     if len(corr) != 5:
         raise ValueError(f"solve_min_h_beta needs 5 correspondences, got {len(corr)}")
-    ncorr, t1, t2 = _normalize_corr(corr)
-    # 12-monomial basis [h11..h33, beta*h31, beta*h32, beta*h33]: the third
-    # component of u + beta v is 1, so beta only multiplies the third row of H
-    rows = np.hstack(
-        [_skew_rows(ncorr.s1, ncorr.u), _skew_rows(ncorr.s1, ncorr.v)[:, 6:]]
-    )
-    m = rows[:9]  # 9 x 12
-    _, sing, vt = np.linalg.svd(m)
-    if sing[8] < 1e-10 * sing[0]:
-        raise DegenerateInput("nullspace dimension exceeds 3 (degenerate samples)")
-    null = vt[-3:]  # rows n1, n2, n3
-    n1, n2, n3 = null
-
-    # constraints w[9+k] = beta * w[6+k], k = 0..2, in monomials
-    # [beta*g1, beta*g2, beta, g1, g2, 1] with w = g1 n1 + g2 n2 + n3;
-    # row k of p holds -n[6+k], row k of q holds n[9+k]
-    p, q = -null[:, 6:9].T, null[:, 9:12].T
-    try:
-        action = -np.linalg.solve(p, q)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInput("quadratic system is rank-deficient") from exc
-    values, vectors = np.linalg.eig(action)
+    draw = _prepared(corr, PreparedH, prepare_h_draws)
+    n1, n2, n3 = draw.null
     found = []
-    for beta, vec in _split_real(values, lambda i: vectors[:, i]):
+    for beta, vec in _split_real(draw.values, lambda i: draw.vectors[:, i]):
         if abs(vec[2]) < 1e-10:
             continue
         g1, g2 = vec[0] / vec[2], vec[1] / vec[2]
         found.append((beta, (g1 * n1 + g2 * n2 + n3)[:9].reshape(3, 3)))
-    candidates = _candidates(HOMOGRAPHY, t1, t2, found)
+    candidates = _candidates(HOMOGRAPHY, draw.t1, draw.t2, found)
     if not candidates:
         raise NoRealSolution("all eigenvalues complex")
     return _in_window(candidates, window)

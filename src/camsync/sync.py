@@ -17,18 +17,18 @@ offset plus the last accepted subframe estimate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NeverImproved, NotEnoughCorrespondences
-from .geometry import Trajectory
+from .geometry import Trajectory, require_numbers
 from .robust import (
     RansacParams,
     RansacResult,
     count_correspondences,
     ransac_estimate,
-    require_integers,
     solver_kind,
 )
 # not called here; the benchmark's traced run wraps this binding
@@ -44,7 +44,7 @@ class IterParams:
     ransac: RansacParams = field(default_factory=RansacParams)
 
     def __post_init__(self):
-        require_integers(self, "k_max", "p_min", "p_max")
+        require_numbers(self, numbers.Integral, "k_max", "p_min", "p_max")
         if not solver_kind(self.kind).estimates_beta:  # the loop steps by the shift
             raise ValueError(f"solver kind {self.kind!r} does not estimate the shift")
         if self.k_max < 2:  # the loop takes at most k_max - 1 steps

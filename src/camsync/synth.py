@@ -17,13 +17,14 @@ Three motion families:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import UnreachableSpeed
-from .geometry import HOMOGRAPHY, Trajectory, TwoViewModel
+from .geometry import HOMOGRAPHY, Trajectory, TwoViewModel, require_numbers
 from .pose import CameraCalib, fundamental_from_calib, relative_pose
 
 SMOOTH_RANDOM = "smooth-random"
@@ -56,6 +57,7 @@ class SceneSpec:
     waypoint_spacing: float = 25.0  # frames between spline waypoints
 
     def __post_init__(self):
+        require_numbers(self, numbers.Integral, "seed", "n_frames", "n_tracks")
         if self.seed < 0:  # np.random.default_rng's message names no field
             raise ValueError("seed must be non-negative")
         for name in ("beta_gt", "rho", "noise_sigma", "speed_px_per_frame"):

@@ -1,8 +1,8 @@
 """Module layering: no camsync module imports another one's private names,
 none imports a name it never reads, every private top-level name is read by
 some camsync module, every public top-level function or class is read by one
-or exported by the package, every solver kind names a solver that
-camsync.robust binds, and importing camsync leaves out scipy.interpolate."""
+or exported by the package, every solver kind names a solver, and a
+block step if it has one, that camsync.robust binds, and importing camsync leaves out scipy.interpolate."""
 
 import ast
 import os
@@ -240,6 +240,9 @@ def test_every_solver_kind_names_a_solver_bound_in_robust():
     for kind, spec in robust.SOLVER_KINDS.items():
         assert callable(getattr(robust, spec.solver, None)), (kind, spec.solver)
         assert getattr(robust, spec.solver) is getattr(solvers, spec.solver), kind
+        # the block step that prepares its draws is looked up the same way
+        if spec.prepare is not None:
+            assert getattr(robust, spec.prepare) is getattr(solvers, spec.prepare), kind
 
 
 def test_import_leaves_out_scipy_interpolate():

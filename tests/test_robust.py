@@ -31,7 +31,7 @@ from camsync.robust import (
     score_candidate,
 )
 from camsync import robust
-from camsync.solvers import CorrSet, SolverCandidate, _skew_rows, prepare_f_draws
+from camsync.solvers import CorrSet, SolverCandidate, _skew_rows
 from camsync.sync import IterParams, iterative_sync
 from camsync.synth import PLANAR_SMOOTH
 
@@ -206,6 +206,10 @@ def test_skew_rows_match_per_sample_builders():
     assert _skew_rows(s, u).tobytes() == np.array(rows9).tobytes()
     got12 = np.hstack([_skew_rows(s, u), _skew_rows(s, v)[:, 6:]])
     assert got12.tobytes() == np.array(rows12).tobytes()
+    # leading dimensions: each block of rows is that of its own call
+    stacked = _skew_rows(np.stack([s, u, s]), np.stack([u, v, v]))
+    for got, (a, b) in zip(stacked, [(s, u), (u, v), (s, v)]):
+        assert got.tobytes() == _skew_rows(a, b).tobytes()
 
 
 class TestScoreCandidate:
@@ -306,6 +310,17 @@ class TestRansacParams:
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 RansacParams(**{field: bad})
         assert getattr(RansacParams(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("field", ["threshold", "rho", "beta0", "beta_max"])
+    def test_non_real_field_is_rejected(self, field):
+        # each True used to act as 1, and threshold="5" raised a TypeError
+        for bad in (True, False, np.bool_(True), "5", None, 1j):
+            if bad is None and field == "beta_max":
+                continue  # beta_max=None is the default window
+            with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+                RansacParams(**{field: bad})
+        for good in (2, np.int64(2), np.float32(2.0), 2.0):
+            assert getattr(RansacParams(**{field: good}), field) == 2
 
     def test_window_default_tracks_d(self):
         assert RansacParams(d=1).window == (-10.0, 10.0)
@@ -622,13 +637,14 @@ class TestSolverBinding:
 
 
 class TestDrawBlocks:
-    """RANSAC prepares the F kinds' samples in blocks but calls the solver
-    once per draw, in draw order, so the block size changes nothing."""
+    """RANSAC prepares the samples of f-gep, f-min and h-min in blocks but
+    calls the solver once per draw, in draw order, so the block size changes
+    nothing."""
 
     @staticmethod
     def run_with_blocks(monkeypatch, size, run):
-        """``run()`` with ``DRAW_BLOCK`` = size, its F-solver calls and the
-        sizes of the blocks it prepared."""
+        """``run()`` with ``DRAW_BLOCK`` = size, its calls of the prepared
+        kinds' solvers and the sizes of the blocks it prepared."""
         calls, blocks = [], []
 
         def counted(solve):
@@ -637,14 +653,17 @@ class TestDrawBlocks:
                 return solve(*args)
             return wrapper
 
-        def prepare(s1, u, v):
-            blocks.append(len(s1))
-            return prepare_f_draws(s1, u, v)
+        def sized(prepare):
+            def wrapper(s1, u, v):
+                blocks.append(len(s1))
+                return prepare(s1, u, v)
+            return wrapper
 
         with monkeypatch.context() as patched:
             patched.setattr(robust, "DRAW_BLOCK", size)
-            patched.setattr(robust, "prepare_f_draws", prepare)
-            for name in ("solve_gep_f_beta", "solve_min_f_beta"):
+            for name in ("prepare_f_draws", "prepare_h_draws"):
+                patched.setattr(robust, name, sized(getattr(robust, name)))
+            for name in ("solve_gep_f_beta", "solve_min_f_beta", "solve_min_h_beta"):
                 patched.setattr(robust, name, counted(getattr(robust, name)))
             return run(), calls, blocks
 
@@ -664,13 +683,15 @@ class TestDrawBlocks:
                 assert getattr(sub, f).tobytes() == getattr(want, f).tobytes()
 
     @pytest.mark.parametrize("max_iterations", [500, 10])
-    @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_F_MIN])
+    @pytest.mark.parametrize("kind", [KIND_F_GEP, KIND_F_MIN, KIND_H_MIN])
     @pytest.mark.parametrize("seed", range(3))
     def test_block_size_changes_nothing(self, monkeypatch, kind, seed, max_iterations):
-        # acceptance criterion 10's scene; 10 draws end inside a block
+        # acceptance criterion 10's scene, planar for h-min; 10 draws end
+        # inside a block
         t1, t2, _ = generate_scene(SceneSpec(
             seed=seed, beta_gt=3.0, noise_sigma=0.5, n_tracks=6, n_frames=120,
             waypoint_spacing=120.0,
+            motion=PLANAR_SMOOTH if kind == KIND_H_MIN else "smooth-random",
         ))
         (t1, t2), _ = inject_outliers(t1, t2, 0.3, seed=seed + 777)
         params = RansacParams(seed=seed, threshold=3.0, max_iterations=max_iterations, d=4)

@@ -31,9 +31,11 @@ from camsync.solvers import (
     _gep_real,
     _normalize_corr,
     _normalizing_transforms,
+    _skew_rows,
     _split_real,
     fit_model_at_beta,
     prepare_f_draws,
+    prepare_h_draws,
 )
 
 import reference_kernels as ref
@@ -490,9 +492,8 @@ def f_sample(rng, rows, kind="random"):
     return corr
 
 
-def prepare_block(samples):
-    return prepare_f_draws(*(np.stack([getattr(c, f) for c in samples])
-                             for f in ("s1", "u", "v")))
+def prepare_block(samples, prepare=prepare_f_draws):
+    return prepare(*(np.stack([getattr(c, f) for c in samples]) for f in ("s1", "u", "v")))
 
 
 class TestPrepareFDraws:
@@ -518,10 +519,11 @@ class TestPrepareFDraws:
                 want = [x.tobytes() for x in ref.compress_f(corr)]
             except DegenerateInput as exc:
                 want = str(exc)
-            if draw.degenerate is None:
+            if draw.error is None:
                 got = [x.tobytes() for x in (draw.a, draw.c, draw.g, draw.t1, draw.t2)]
             else:
-                got = draw.degenerate
+                assert type(draw.error) is DegenerateInput
+                got = str(draw.error)
             assert got == want
 
     @pytest.mark.parametrize(
@@ -863,6 +865,125 @@ class TestMinHBeta:
             except DegenerateInput:
                 continue
             assert len(cands) <= 3
+
+
+def h_sample(rng, kind="random"):
+    """Five random correspondences. "coincident" and "coincident-u" make the
+    camera-1 or camera-2 points coincide, "rank" repeats the first row, which
+    leaves a nullspace above 3, "static" zeroes the tangents, which makes p
+    singular, "nan" puts a NaN in s1, on which the SVD fails, and
+    "coincident-nan" does both to s1 and u: its solver raises at the
+    normalization, before the SVD that fails."""
+    corr = random_corrset(rng).take(np.arange(5))
+    if kind == "coincident":
+        corr.s1[:, :2] = [3.0, 4.0]
+    elif kind == "coincident-u":
+        corr.u[:, :2] = [3.0, 4.0]
+    elif kind == "rank":
+        for f in ("s1", "u", "v"):
+            getattr(corr, f)[1] = getattr(corr, f)[0]
+    elif kind == "static":
+        corr.v[:] = 0.0
+    elif kind == "nan":
+        corr.s1[2, 0] = np.nan
+    elif kind == "coincident-nan":
+        corr.s1[:, :2] = [3.0, 4.0]
+        corr.u[2, 0] = np.nan
+    return corr
+
+
+def h_outcome(solve, corr, window):
+    """The candidates' bytes, or the class and message of what the solver raised."""
+    try:
+        return candidate_bytes(solve(corr, window))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def h_system(corr):
+    """h-min's 9x12 system of one sample, as the reference solver builds it."""
+    ncorr, _, _ = ref.normalize_corr(corr)
+    return np.hstack([_skew_rows(ncorr.s1, ncorr.u), _skew_rows(ncorr.s1, ncorr.v)[:, 6:]])[:9]
+
+
+class TestPrepareHDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["random", "random", "random", "coincident", "coincident-u",
+                             "rank", "static", "nan", "coincident-nan"]),
+            min_size=1, max_size=8,
+        ),
+        window=st.one_of(
+            st.none(),
+            st.tuples(st.floats(-60, 60), st.floats(0, 120)).map(lambda w: (w[0], w[0] + w[1])),
+        ),
+    )
+    def test_each_draw_gives_its_own_solve(self, seed, kinds, window):
+        """Each prepared draw's solver call gives the bytes, or the error class
+        and message, of the reference solver on that sample alone."""
+        rng = np.random.default_rng(seed)
+        samples = [h_sample(rng, kind) for kind in kinds]
+        for draw, corr in zip(prepare_block(samples, prepare_h_draws), samples):
+            for f in ("s1", "u", "v"):
+                assert getattr(draw, f).tobytes() == getattr(corr, f).tobytes()
+            got = h_outcome(solve_min_h_beta, draw, window)
+            assert got == h_outcome(ref.solve_min_h_beta, corr, window)
+
+    def test_singular_p_fails_only_at_its_own_call(self):
+        kinds = ["random", "static", "random", "random"]
+        rng = np.random.default_rng(5)
+        samples = [h_sample(rng, kind) for kind in kinds]
+        with mock.patch.object(solvers, "prepare_h_draws",
+                               wraps=solvers.prepare_h_draws) as spy:
+            draws = prepare_block(samples, solvers.prepare_h_draws)
+        assert spy.call_count == 1 + len(kinds)  # the stacked solve failed: one at a time
+        window = (-40.0, 40.0)
+        for kind, draw, corr in zip(kinds, draws, samples):
+            got = h_outcome(solve_min_h_beta, draw, window)
+            if kind == "static":
+                assert got == ("DegenerateInput", "quadratic system is rank-deficient")
+                assert h_outcome(solve_min_h_beta, draw, window) == got
+            else:
+                assert got and isinstance(got, list)
+                assert got == h_outcome(ref.solve_min_h_beta, corr, window)
+
+
+class TestStackedSvdSolveEig:
+    """``prepare_h_draws`` takes one ``np.linalg.svd``, ``solve`` and ``eig``
+    of a block's stacked matrices; each matrix gets the bytes of its own call.
+    ``eig`` gives values and vectors once each matrix whose values are all
+    real takes their real parts, and each prepared draw holds its own."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bit_identical_to_per_matrix_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        samples = [h_sample(rng, kind) for kind in ["random"] * 12 + ["rank"]]
+        systems = [h_system(corr) for corr in samples]
+        _, sing, vt = np.linalg.svd(np.stack(systems))
+        for k, m in enumerate(systems):
+            _, want_sing, want_vt = np.linalg.svd(m)
+            assert sing[k].tobytes() == want_sing.tobytes()
+            assert vt[k].tobytes() == want_vt.tobytes()
+        null = vt[:-1, -3:]
+        p, q = -np.swapaxes(null[..., 6:9], -1, -2), np.swapaxes(null[..., 9:12], -1, -2)
+        actions = -np.linalg.solve(p, q)
+        values, vectors = np.linalg.eig(actions)
+        kinds = set()
+        draws = prepare_block(samples, prepare_h_draws)
+        for n, action, w, vec, draw in zip(null, actions, values, vectors, draws):
+            assert action.tobytes() == (-np.linalg.solve(-n[:, 6:9].T, n[:, 9:12].T)).tobytes()
+            if not w.imag.any():
+                w, vec = w.real, vec.real
+            want_w, want_vec = np.linalg.eig(action)
+            for got in ((w, vec), (draw.values, draw.vectors)):
+                assert [x.dtype for x in got] == [want_w.dtype, want_vec.dtype]
+                assert [x.tobytes() for x in got] == [want_w.tobytes(), want_vec.tobytes()]
+            assert draw.null.tobytes() == n.tobytes()
+            kinds.add(w.dtype.kind)
+        assert kinds == {"f", "c"}  # the block mixes real and complex draws
+        assert str(draws[-1].error) == "nullspace dimension exceeds 3 (degenerate samples)"
 
 
 class TestSevenPointF:

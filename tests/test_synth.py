@@ -54,6 +54,15 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SceneSpec(seed=-1)
 
+    @pytest.mark.parametrize("field", ["seed", "n_frames", "n_tracks"])
+    def test_non_integer_field_is_rejected(self, field):
+        # n_tracks=2.5 and seed=1.5 used to end in a TypeError inside
+        # generate_scene, and seed=True ran as seed 1
+        for bad in (2.5, 20.0, True, np.bool_(True), np.float64(30.0), "40"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                SceneSpec(**{field: bad})
+        assert getattr(SceneSpec(**{field: np.int64(12)}), field) == 12
+
     @pytest.mark.parametrize("fields, message", [
         (dict(beta_gt=1e15), "camera-2 frame count 2e+15 exceeds 200000"),
         (dict(beta_gt=1e15, motion="exact-linear"), "camera-2 frame count 1e+15 exceeds"),
